@@ -27,6 +27,18 @@ import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 
+class ConfigError(ValueError):
+    """A machine configuration that cannot be simulated."""
+
+
+def _require_positive(params, name):
+    """Raise :class:`ConfigError` unless ``params.<name>`` is >= 1."""
+    value = getattr(params, name)
+    if value < 1:
+        raise ConfigError("%s.%s must be >= 1, not %r"
+                          % (type(params).__name__, name, value))
+
+
 def to_canonical(obj):
     """A JSON-serialisable canonical form of a (nested) config object.
 
@@ -100,6 +112,9 @@ class MemoryParams:
     bus_reply_occupancy: int = 2     # data phase (one line)
     mshr_capacity: int = 8
 
+    def __post_init__(self):
+        _require_positive(self, "n_banks")
+
 
 @dataclass(frozen=True)
 class PipelineParams:
@@ -123,6 +138,9 @@ class PipelineParams:
     #: Dependency-stall lengths <= this count as "short" in Figures 8/9.
     short_stall_threshold: int = 4
 
+    def __post_init__(self):
+        _require_positive(self, "issue_width")
+
 
 @dataclass(frozen=True)
 class OSParams:
@@ -145,6 +163,9 @@ class OSParams:
         4: (400, 320),
         8: (600, 480),
     })
+
+    def __post_init__(self):
+        _require_positive(self, "time_slice")
 
     def interference_for(self, n_switched):
         """(icache_lines, dcache_lines) displaced for ``n_switched``."""

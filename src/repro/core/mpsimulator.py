@@ -6,8 +6,6 @@ hardware contexts; more contexts per processor means the application is
 partitioned into proportionally more threads (n_nodes × n_contexts).
 """
 
-import warnings
-
 from repro.config import MultiprocessorParams, PipelineParams
 from repro.coherence.dsm import DSMachine
 from repro.core.processor import Processor
@@ -41,12 +39,10 @@ class MultiprocessorSimulator:
     DEFAULT_MAX_CYCLES = 50_000_000
 
     def __init__(self, app_instance, scheme="interleaved", n_contexts=1,
-                 params=None, pipeline=None, seed=None, engine="events",
-                 backend=None):
-        if engine not in ("events", "naive", "burst"):
+                 params=None, pipeline=None, seed=None, engine="burst"):
+        if engine not in ("burst", "naive"):
             raise ValueError(
-                "engine must be 'events', 'naive' or 'burst', not %r"
-                % (engine,))
+                "engine must be 'burst' or 'naive', not %r" % (engine,))
         self.engine = engine
         self.params = params if params is not None else MultiprocessorParams()
         self.pipeline = pipeline if pipeline is not None else PipelineParams()
@@ -79,7 +75,7 @@ class MultiprocessorSimulator:
             proc = Processor(scheme, n_contexts, self.pipeline,
                              self.machine.nodes[node_id],
                              self.machine.memory, sync=self.sync,
-                             proc_id=node_id, backend=backend)
+                             proc_id=node_id)
             if engine == "burst":
                 proc.burst_enabled = True
                 # Another node's lock release or barrier arrival can
@@ -92,10 +88,8 @@ class MultiprocessorSimulator:
             process = Process("%s.t%d" % (app_instance.name, t), program)
             self.processes.append(process)
             self.processors[node_id].load_process(slot, process)
-        # Resolved scoreboard backend, identical across nodes.
-        self.backend = self.processors[0].backend
         self.now = 0
-        # Completion tracking for the event engine: counting HALTs as
+        # Completion tracking for the fast engine: counting HALTs as
         # they retire beats scanning every context every cycle.
         self._halted = 0
         for proc in self.processors:
@@ -113,49 +107,20 @@ class MultiprocessorSimulator:
         cycle any node can issue (NEVER when fully halted/blocked)."""
         return min(p.next_event_cycle(self.now) for p in self.processors)
 
-    def run(self, cycles=None, *, until=None):
+    def run(self, *, until=None):
         """Advance until completion or ``until``; returns a
         :class:`repro.api.RunResult`.
 
-        The unified entry point shared with the workstation simulator:
-        ``until`` is an *absolute* cycle bound; the run stops early when
-        every thread has halted, and the result's ``completed`` flag
-        records which happened.  The historical relative form
-        ``run(n_cycles)`` is accepted but deprecated.
+        The entry point shared with the workstation simulator: ``until``
+        is an *absolute* cycle bound (default: :attr:`DEFAULT_MAX_CYCLES`
+        from now); the run stops early when every thread has halted, and
+        the result's ``completed`` flag records which happened.
         """
-        if cycles is not None:
-            if until is not None:
-                raise TypeError(
-                    "pass either cycles (deprecated) or until, not both")
-            warnings.warn(
-                "MultiprocessorSimulator.run(cycles) is deprecated; use "
-                "run(until=<absolute cycle>) or repro.api.Simulation",
-                DeprecationWarning, stacklevel=2)
-            until = self.now + cycles
         if until is None:
             until = self.now + self.DEFAULT_MAX_CYCLES
         from repro.api import multiprocessor_run_result
         self._advance(until)
         return multiprocessor_run_result(self, self._result())
-
-    def run_to_completion(self, max_cycles=50_000_000):
-        """Deprecated shim: step all nodes until every thread halts.
-
-        Returns the historical :class:`MPResult` and raises when the
-        application does not finish within ``max_cycles``.  New code
-        should call ``run(until=...)`` (or the :class:`repro.api.
-        Simulation` facade) and inspect ``RunResult.completed``.
-        """
-        warnings.warn(
-            "run_to_completion(max_cycles) is deprecated; use "
-            "run(until=<absolute cycle>) or repro.api.Simulation",
-            DeprecationWarning, stacklevel=2)
-        self._advance(self.now + max_cycles)
-        if not self.all_halted():
-            raise RuntimeError(
-                "application %r did not finish within %d cycles"
-                % (self.app.name, max_cycles))
-        return self._result()
 
     def _result(self):
         return MPResult(self.now, [p.stats for p in self.processors],
@@ -164,15 +129,13 @@ class MultiprocessorSimulator:
     def _advance(self, end):
         if self.engine == "naive":
             self._advance_naive(end)
-        elif self.engine == "burst":
-            self._advance_burst(end)
         else:
-            self._advance_events(end)
+            self._advance_burst(end)
 
     def _advance_naive(self, end):
         """Reference engine: lockstep-step every node every cycle.
 
-        The event engine's contract is defined against this loop — any
+        The burst engine's contract is defined against this loop — any
         run must produce bit-identical statistics and cycle counts.
         """
         procs = self.processors
@@ -187,8 +150,14 @@ class MultiprocessorSimulator:
         self.now = now
 
     def _advance_burst(self, end):
-        """Burst engine: the event loop plus one-step burst retire.
+        """Burst engine: park idle nodes, fast-forward global idle, and
+        retire bursts in one step.
 
+        Each cycle only the nodes with work are stepped (in node order,
+        preserving the lockstep access interleaving exactly); a node
+        that reports nothing runnable is *parked* — its idle accounting
+        is deferred until it is woken by its own clock (``parked_due``),
+        by a sync handoff (``context_woken``), or by the run ending.
         A node that dispatched a burst is busy — and fully accounted —
         until its ``burst_until``; it is simply skipped (not stepped,
         not parked) while other nodes keep their per-cycle lockstep.
@@ -227,51 +196,6 @@ class MultiprocessorSimulator:
                 stepped = True
                 if p.burst_until > now:
                     continue
-                if idle or p.stall_until > now + 1:
-                    p.park(now + 1)
-            if stepped:
-                now += 1
-                continue
-            if min_due is None:
-                raise SimulationDeadlock(
-                    "all processors blocked on external events at cycle"
-                    " %d" % now)
-            now = min(min_due, end)
-        for p in procs:
-            p.unpark(now)
-        self.now = now
-
-    def _advance_events(self, end):
-        """Event engine: park idle nodes, fast-forward global idle.
-
-        Each cycle only the nodes with work are stepped (in node order,
-        preserving the lockstep access interleaving exactly); a node
-        that reports nothing runnable is *parked* — its idle accounting
-        is deferred until it is woken by its own clock (``parked_due``),
-        by a sync handoff (``context_woken``), or by the run ending.
-        When every node is parked the loop jumps straight to the
-        earliest due cycle.
-        """
-        procs = self.processors
-        now = self.now
-        n_live = len(self.processes)
-        while now < end:
-            if self._halted >= n_live:
-                break
-            stepped = False
-            min_due = None
-            for p in procs:
-                if p._parked_from is not None:
-                    due = p.parked_due()
-                    if due is None:
-                        continue
-                    if due > now:
-                        if min_due is None or due < min_due:
-                            min_due = due
-                        continue
-                    p.unpark(now)
-                idle = p.step(now)
-                stepped = True
                 if idle or p.stall_until > now + 1:
                     p.park(now + 1)
             if stepped:

@@ -8,7 +8,6 @@ time; its only modelled effect is the cache pollution.
 """
 
 import random
-import warnings
 
 from repro.isa.executor import ArchState, Memory
 from repro.config import SystemConfig
@@ -64,17 +63,16 @@ class WorkstationSimulator:
 
     def __init__(self, processes, scheme="interleaved", n_contexts=1,
                  config=None, seed=1994, app_instances=(), barriers=None,
-                 restart_halted=True, engine="events", backend=None):
+                 restart_halted=True, engine="burst"):
         if not processes:
             raise ValueError("need at least one process")
-        if engine not in ("events", "naive", "burst"):
+        if engine not in ("burst", "naive"):
             raise ValueError(
-                "engine must be 'events', 'naive' or 'burst', not %r"
-                % (engine,))
-        #: "events" fast-forwards idle windows via the next_event_cycle
-        #: protocol; "burst" additionally retires precompiled straight-
-        #: line runs in one step; "naive" steps every cycle and is the
-        #: reference both fast engines must match bit for bit.
+                "engine must be 'burst' or 'naive', not %r" % (engine,))
+        #: "burst" fast-forwards idle windows via the next_event_cycle
+        #: protocol and retires precompiled straight-line runs in one
+        #: step; "naive" steps every cycle and is the reference the fast
+        #: engine must match bit for bit.
         self.engine = engine
         self.config = config if config is not None else SystemConfig.fast()
         self.seed = seed
@@ -94,12 +92,7 @@ class WorkstationSimulator:
         self.n_contexts = n_contexts
         self.processor = Processor(scheme, n_contexts,
                                    self.config.pipeline, self.memsys,
-                                   self.memory, sync=self.sync,
-                                   backend=backend)
-        #: Resolved scoreboard backend ("python" or "numpy") — like
-        #: ``engine``, an implementation choice with no observable
-        #: effect on results, so it stays out of RunResult and caches.
-        self.backend = self.processor.backend
+                                   self.memory, sync=self.sync)
         if engine == "burst":
             # Schedules are packed per issue width (Program.bursts_for
             # keys its memo on it), so the Section 7 multi-issue
@@ -190,34 +183,21 @@ class WorkstationSimulator:
         """Event-protocol report for the whole workstation.
 
         The earliest of the processor's next issue opportunity and the
-        scheduler's next slice interrupt; the event engine never jumps
-        past this cycle.
+        scheduler's next slice interrupt; the burst engine's idle
+        fast-forward never jumps past this cycle.
         """
         slice_len = self.config.os.time_slice
         next_interrupt = ((self.now // slice_len) + 1) * slice_len
         return min(self.processor.next_event_cycle(self.now),
                    next_interrupt)
 
-    def run(self, cycles=None, *, until=None):
-        """Advance the machine; returns a :class:`repro.api.RunResult`.
+    def run(self, *, until):
+        """Advance the machine to the *absolute* cycle ``until``.
 
-        The unified entry point shared with the multiprocessor
-        simulator: ``run(until=cycle)`` advances to the *absolute* cycle
-        ``until``.  The historical relative form ``run(n_cycles)`` still
-        works but is deprecated — use ``until`` or the
+        Returns a :class:`repro.api.RunResult`; the entry point shared
+        with the multiprocessor simulator and the
         :class:`repro.api.Simulation` facade.
         """
-        if cycles is not None:
-            if until is not None:
-                raise TypeError(
-                    "pass either cycles (deprecated) or until, not both")
-            warnings.warn(
-                "WorkstationSimulator.run(cycles) is deprecated; use "
-                "run(until=<absolute cycle>) or repro.api.Simulation",
-                DeprecationWarning, stacklevel=2)
-            until = self.now + cycles
-        if until is None:
-            raise TypeError("run() requires until=<absolute cycle>")
         from repro.api import workstation_run_result
         start = self.now
         stats_before = self.processor.stats.snapshot()
@@ -234,15 +214,13 @@ class WorkstationSimulator:
     def _advance(self, end):
         if self.engine == "naive":
             self._advance_naive(end)
-        elif self.engine == "burst":
-            self._advance_burst(end)
         else:
-            self._advance_events(end)
+            self._advance_burst(end)
 
     def _advance_naive(self, end):
         """Reference engine: step every cycle.
 
-        The event engine's contract is defined against this loop — any
+        The burst engine's contract is defined against this loop — any
         run must produce bit-identical statistics either way.
         """
         proc = self.processor
@@ -257,54 +235,17 @@ class WorkstationSimulator:
             now += 1
         self.now = now
 
-    def _advance_events(self, end):
-        """Event engine: fast-forward idle windows.
-
-        The idle probe (``Processor.idle_until`` — the accounting
-        variant of ``next_event_cycle``) is only taken when the previous
-        step was idle or froze the front end, keeping it off the busy
-        hot path; jumps never cross ``end`` or a scheduler interrupt.
-        """
-        proc = self.processor
-        now = self.now
-        slice_len = self.config.os.time_slice
-        next_interrupt = ((now // slice_len) + 1) * slice_len
-        check_idle = True
-        while now < end:
-            if now >= next_interrupt:
-                self._scheduler_interrupt()
-                next_interrupt += slice_len
-                check_idle = True
-            if check_idle:
-                idle = proc.idle_until(now)
-                if idle is not None:
-                    wake, reason = idle
-                    if wake is None:
-                        if reason is Stall.IDLE:
-                            # Everything halted: idle out the window.
-                            proc.skip_idle(now, end, Stall.IDLE)
-                            now = end
-                            break
-                        raise SimulationDeadlock(
-                            "all contexts blocked on %s with nothing "
-                            "running" % reason.name)
-                    target = min(wake, end, next_interrupt)
-                    if target > now:
-                        proc.skip_idle(now, target, reason)
-                        now = target
-                        continue
-            check_idle = proc.step(now)
-            now += 1
-            if not check_idle and proc.stall_until > now:
-                check_idle = True
-        self.now = now
-
     def _advance_burst(self, end):
-        """Burst engine: event fast-forward plus one-step burst retire.
+        """Burst engine: idle fast-forward plus one-step burst retire.
 
-        The event loop with one extra fast path: when ``step`` dispatched
-        a precompiled burst the processor is busy — and fully accounted —
-        until ``burst_until``, so the clock jumps straight there.
+        Two fast paths over per-cycle stepping.  The idle probe
+        (``Processor.idle_until`` — the accounting variant of
+        ``next_event_cycle``) is only taken when the previous step was
+        idle or froze the front end, keeping it off the busy hot path;
+        idle jumps never cross ``end`` or a scheduler interrupt.  When
+        ``step`` dispatched a precompiled burst the processor is busy —
+        and fully accounted — until ``burst_until``, so the clock jumps
+        straight there.
         ``burst_limit`` keeps any dispatch inside both the advance window
         and the current time slice, so scheduler interrupts fire on
         exactly the cycle naive stepping would fire them.
@@ -327,6 +268,7 @@ class WorkstationSimulator:
                     wake, reason = idle
                     if wake is None:
                         if reason is Stall.IDLE:
+                            # Everything halted: idle out the window.
                             proc.skip_idle(now, end, Stall.IDLE)
                             now = end
                             break

@@ -197,7 +197,6 @@ def _service_spec(args):
             n_nodes=args.nodes if args.nodes is not None else 8),
         "seed": args.seed,
         "engine": args.engine,
-        "backend": args.backend,
         "timeout": args.job_timeout,
         "max_retries": args.max_retries,
     }
@@ -239,8 +238,7 @@ def _spool_root(args):
     """The spool directory, honouring the deprecated positional form.
 
     ``repro-experiments submit <dir>`` (the spool directory as the
-    positional action) predates ``--spool``; it still works but warns,
-    mirroring the ``run(cycles)`` deprecation shim on the simulators.
+    positional action) predates ``--spool``; it still works but warns.
     """
     if args.action is not None:
         looks_like_path = (os.sep in args.action
@@ -653,21 +651,13 @@ def main(argv=None, _ready=None):
                         help="uniprocessor measurement window, cycles")
     parser.add_argument("--warmup", type=int, default=None,
                         help="uniprocessor warmup, cycles")
-    parser.add_argument("--engine", choices=("events", "naive", "burst"),
-                        default="events",
+    parser.add_argument("--engine", choices=("burst", "naive"),
+                        default="burst",
                         help="simulation engine for every computed point "
-                             "(bit-identical by contract: naive is the "
-                             "per-cycle reference, events fast-forwards "
-                             "idle windows, burst additionally retires "
-                             "precompiled straight-line runs in one step)")
-    parser.add_argument("--backend", choices=("auto", "python", "numpy"),
-                        default=None,
-                        help="scoreboard backend for every computed point "
-                             "(bit-identical by contract: python is the "
-                             "list-based reference, numpy vectorises the "
-                             "register files — needs the repro[fast] "
-                             "extra; auto picks numpy when available; "
-                             "default: $REPRO_BACKEND or python)")
+                             "(bit-identical by contract: burst "
+                             "fast-forwards idle windows and retires "
+                             "precompiled straight-line runs in one step; "
+                             "naive is the per-cycle reference)")
     parser.add_argument("--cprofile", nargs="?", metavar="PATH",
                         const=os.path.join("results", "profile.pstats"),
                         default=None,
@@ -810,7 +800,7 @@ def main(argv=None, _ready=None):
     config = (SystemConfig.paper() if args.profile == "paper"
               else SystemConfig.fast())
     kwargs = {"config": config, "seed": args.seed,
-              "engine": args.engine, "backend": args.backend}
+              "engine": args.engine}
     if args.nodes is not None:
         kwargs["mp_params"] = MultiprocessorParams(n_nodes=args.nodes)
     if args.measure is not None:

@@ -69,12 +69,7 @@ class JobSpec:
     seed: int = 1994
     warmup: int = UNIPROC_WARMUP
     measure: int = UNIPROC_MEASURE
-    engine: str = "events"
-    #: Scoreboard backend for the workers ("python" | "numpy" | "auto" |
-    #: None).  Bit-identical by contract, so — like ``engine`` — it does
-    #: not enter cache keys, and a server that predates the knob can
-    #: ignore it without changing any result.
-    backend: str = None
+    engine: str = "burst"
     timeout: float = None
     max_retries: int = 2
 
@@ -82,12 +77,9 @@ class JobSpec:
         self.points = tuple(dedupe(SweepPoint(*p) for p in self.points))
         if not self.points:
             raise ValueError("a job needs at least one point")
-        if self.engine not in ("events", "naive", "burst"):
-            raise ValueError("engine must be 'events', 'naive' or "
-                             "'burst', not %r" % (self.engine,))
-        if self.backend not in (None, "auto", "python", "numpy"):
-            raise ValueError("backend must be 'python', 'numpy', 'auto' "
-                             "or None, not %r" % (self.backend,))
+        if self.engine not in ("burst", "naive"):
+            raise ValueError("engine must be 'burst' or 'naive', not %r"
+                             % (self.engine,))
 
     @classmethod
     def sweep(cls, workloads=None, apps=None, **kwargs):
@@ -138,7 +130,6 @@ class JobSpec:
             "warmup": self.warmup,
             "measure": self.measure,
             "engine": self.engine,
-            "backend": self.backend,
             "timeout": self.timeout,
             "max_retries": self.max_retries,
             "points": [[p.kind, p.name, p.scheme, p.n_contexts]
@@ -167,8 +158,7 @@ class JobSpec:
             seed=int(payload.get("seed", 1994)),
             warmup=int(payload.get("warmup", UNIPROC_WARMUP)),
             measure=int(payload.get("measure", UNIPROC_MEASURE)),
-            engine=payload.get("engine", "events"),
-            backend=payload.get("backend"),
+            engine=payload.get("engine", "burst"),
             timeout=payload.get("timeout"),
             max_retries=int(payload.get("max_retries", 2)),
         )

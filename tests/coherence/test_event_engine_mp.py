@@ -1,10 +1,12 @@
-"""Multiprocessor event engine vs the naive lockstep reference.
+"""Multiprocessor idle fast-forward and run API.
 
-Same contract as the workstation side (tests/core/test_event_engine.py):
-``engine="events"`` must reproduce the naive per-cycle loop bit for bit
-— including the RNG-sensitive interconnect latencies, which is why the
-event loop steps runnable nodes in node order every cycle and only
-jumps when *every* node is parked.
+The burst engine parks idle nodes and jumps when *every* node is parked
+or mid-burst; it must still reproduce the naive per-cycle loop bit for
+bit — including the RNG-sensitive interconnect latencies, which is why
+it steps runnable nodes in node order every cycle.  The small-machine
+identity grid lives in tests/coherence/test_burst_engine_mp.py; this
+file covers the memory-bound machine where the jumps are longest, and
+the ``run(until=...)`` entry point.
 """
 
 import dataclasses
@@ -16,8 +18,8 @@ from repro.config import MultiprocessorParams
 
 SMALL_PARAMS = MultiprocessorParams(n_nodes=2)
 
-#: Memory-latency-bound machine (~4x DASH latencies) where the event
-#: engine's fast-forward dominates; mirrors benchmarks.
+#: Memory-latency-bound machine (~4x DASH latencies) where the idle
+#: fast-forward dominates; mirrors benchmarks.
 STRESS_PARAMS = MultiprocessorParams(
     n_nodes=4,
     local_memory=(120, 160),
@@ -42,35 +44,16 @@ def run_app(app, scheme, n_contexts, engine, params=SMALL_PARAMS,
 
 
 class TestBitIdentical:
-    @pytest.mark.parametrize("app", ("mp3d", "cholesky"))
-    def test_splash_interleaved(self, app):
-        events = run_app(app, "interleaved", 2, "events")
-        naive = run_app(app, "interleaved", 2, "naive")
-        assert events.completed and naive.completed
-        assert comparable(events) == comparable(naive)
-
-    def test_mp3d_blocked(self):
-        events = run_app("mp3d", "blocked", 2, "events")
-        naive = run_app("mp3d", "blocked", 2, "naive")
-        assert events.completed and naive.completed
-        assert comparable(events) == comparable(naive)
-
-    def test_mp3d_single_context(self):
-        events = run_app("mp3d", "single", 1, "events")
-        naive = run_app("mp3d", "single", 1, "naive")
-        assert events.completed and naive.completed
-        assert comparable(events) == comparable(naive)
-
     @pytest.mark.slow
     @pytest.mark.parametrize("app", ("mp3d", "cholesky"))
     def test_memory_bound_stress_machine(self, app):
         """The benchmark-gate configuration, where jumps are longest."""
-        events = run_app(app, "interleaved", 2, "events",
-                         params=STRESS_PARAMS, scale=0.5, seed=1994)
+        burst = run_app(app, "interleaved", 2, "burst",
+                        params=STRESS_PARAMS, scale=0.5, seed=1994)
         naive = run_app(app, "interleaved", 2, "naive",
                         params=STRESS_PARAMS, scale=0.5, seed=1994)
-        assert events.completed and naive.completed
-        assert comparable(events) == comparable(naive)
+        assert burst.completed and naive.completed
+        assert comparable(burst) == comparable(naive)
 
 
 class TestUnifiedRunAPI:
@@ -79,12 +62,11 @@ class TestUnifiedRunAPI:
             SMALL_PARAMS, scheme="interleaved", n_contexts=2, seed=7,
             **kwargs).load("mp3d", scale=0.25).simulator
 
-    def test_positional_cycles_warns(self):
+    def test_positional_cycles_rejected(self):
         sim = self._sim()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            result = sim.run(1_000)
-        assert sim.now <= 1_000
-        assert result.completed is (sim.now < 1_000)
+        with pytest.raises(TypeError):
+            sim.run(1_000)
+        assert sim.now == 0
 
     def test_run_defaults_to_completion(self):
         from repro.api import RunResult
@@ -95,20 +77,14 @@ class TestUnifiedRunAPI:
         assert result.completed
         assert result.cycles == sim.now
 
-    def test_run_to_completion_shim_warns_and_returns_mpresult(self):
-        from repro.core.mpsimulator import MPResult
+    def test_run_until_bound_reports_incomplete(self):
         sim = self._sim()
-        with pytest.warns(DeprecationWarning, match="run_to_completion"):
-            result = sim.run_to_completion(max_cycles=10_000_000)
-        assert isinstance(result, MPResult)
-        assert result.cycles == sim.now
-
-    def test_run_to_completion_shim_raises_on_timeout(self):
-        sim = self._sim()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(RuntimeError, match="did not finish"):
-                sim.run_to_completion(max_cycles=10)
+        result = sim.run(until=10)
+        assert result.completed is False
+        assert sim.now == 10
 
     def test_engine_argument_validated(self):
-        with pytest.raises(ValueError, match="engine"):
-            self._sim(engine="warp")
+        # "events" names the retired idle-only engine.
+        for engine in ("warp", "events"):
+            with pytest.raises(ValueError, match="engine"):
+                self._sim(engine=engine)

@@ -1,10 +1,9 @@
 """Burst engine vs the naive per-cycle reference.
 
-Same contract as the event engine (tests/core/test_event_engine.py):
-``engine="burst"`` must produce statistics *bit-identical* to
-``engine="naive"`` for any workload and configuration — precompiled
-burst dispatch and bulk stall-window charging are optimisations, never
-approximations.  These tests enforce the contract over every Table 5
+The fast engine's contract: ``engine="burst"`` must produce statistics
+*bit-identical* to ``engine="naive"`` for any workload and configuration
+— idle fast-forward, precompiled burst dispatch and bulk stall-window
+charging are optimisations, never approximations.  These tests enforce the contract over every Table 5
 uniprocessor workload and across schemes, and property-check the
 compile step: a precompiled schedule must retire instructions in
 program order and charge exactly the stall slots (in exactly the
@@ -65,14 +64,6 @@ class TestBitIdentical:
         burst = run_workload(workload, scheme, n_contexts, "burst")
         naive = run_workload(workload, scheme, n_contexts, "naive")
         assert comparable(burst) == comparable(naive)
-
-    def test_matches_event_engine_too(self):
-        """All three engines agree (transitively pins events == burst)."""
-        results = {engine: run_workload("FP", "single", 1, engine)
-                   for engine in ("naive", "events", "burst")}
-        assert (comparable(results["naive"])
-                == comparable(results["events"])
-                == comparable(results["burst"]))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("scheme,n_contexts",
@@ -166,7 +157,7 @@ class TestSchedulePrecomputation:
         # The bulk scoreboard update leaves the exact state the serial
         # issues would have left (ready times and cleared miss flags).
         bulk = Scoreboard(1)
-        bulk.apply_burst(0, 0, burst.writes_out)
+        bulk.apply_burst_compiled(0, 0, burst)
         assert list(bulk.reg_ready) == list(sb.reg_ready)
         assert bytes(bulk.reg_mem) == bytes(sb.reg_mem)
 

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError
 
 from repro.config import (
     SystemConfig, MemoryParams, CacheParams, TLBParams, OSParams,
-    MultiprocessorParams, PipelineParams, SCHEMES,
+    MultiprocessorParams, PipelineParams, SCHEMES, ConfigError,
 )
 
 
@@ -120,3 +120,19 @@ class TestMisc:
         t = TLBParams()
         assert t.entries == 64
         assert t.page_size == 4096
+
+
+class TestValidation:
+    """Machines that cannot be simulated are rejected at construction."""
+
+    @pytest.mark.parametrize("params,field", [
+        (MemoryParams, "n_banks"),
+        (OSParams, "time_slice"),
+        (PipelineParams, "issue_width"),
+    ])
+    def test_zero_rejected_naming_the_field(self, params, field):
+        with pytest.raises(ConfigError, match=field):
+            params(**{field: 0})
+        with pytest.raises(ValueError):
+            params(**{field: -1})
+        assert getattr(params(**{field: 1}), field) == 1

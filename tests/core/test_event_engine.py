@@ -1,20 +1,16 @@
-"""Event-driven fast-forward engine vs the naive per-cycle reference.
+"""The event protocol and the run API of the workstation simulator.
 
-The contract (docs/architecture.md, "The event engine"): for any
-workload and configuration, ``engine="events"`` must produce statistics
-*bit-identical* to ``engine="naive"`` — the fast-forward is an
-optimisation, never an approximation.  These tests enforce the contract
-over every Table 5 uniprocessor workload and across schemes, check the
-``next_event_cycle`` protocol property with hypothesis, and pin the
-deprecation shims of the old run APIs.
+The burst engine fast-forwards idle windows through the
+``next_event_cycle``/``idle_until`` protocol; its bit-identity with the
+naive per-cycle reference lives in tests/core/test_burst_engine.py.
+These tests check the protocol's no-overshoot property with hypothesis,
+pin the deadlock semantics that separate the two engines, and pin the
+``run(until=...)`` entry point.
 """
-
-import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import Simulation
 from repro.config import SystemConfig
 from repro.core.context import HardwareContext
 from repro.core.simulator import (
@@ -22,52 +18,6 @@ from repro.core.simulator import (
 )
 from repro.isa import AsmBuilder
 from repro.workloads.generator import GenSpec, generate_process
-from repro.workloads.uniprocessor import WORKLOAD_ORDER
-
-
-def comparable(result):
-    """Everything in a RunResult except the engine tag and raw object."""
-    d = dataclasses.asdict(result)
-    d.pop("engine")
-    d.pop("raw")
-    return d
-
-
-def run_workload(workload, scheme, n_contexts, engine,
-                 warmup=5_000, measure=20_000):
-    simulation = Simulation.from_config(
-        SystemConfig.fast(), scheme=scheme, n_contexts=n_contexts,
-        seed=1994, engine=engine).load(workload)
-    return simulation.run(warmup=warmup, measure=measure)
-
-
-class TestBitIdentical:
-    """Events == naive, bit for bit, on all seven paper workloads."""
-
-    @pytest.mark.parametrize("workload", WORKLOAD_ORDER)
-    def test_all_workloads_interleaved(self, workload):
-        events = run_workload(workload, "interleaved", 4, "events")
-        naive = run_workload(workload, "interleaved", 4, "naive")
-        assert comparable(events) == comparable(naive)
-
-    @pytest.mark.parametrize("scheme,n_contexts",
-                             [("single", 1), ("blocked", 2),
-                              ("blocked", 4), ("interleaved", 2)])
-    @pytest.mark.parametrize("workload", ("DC", "R1"))
-    def test_scheme_matrix(self, workload, scheme, n_contexts):
-        events = run_workload(workload, scheme, n_contexts, "events")
-        naive = run_workload(workload, scheme, n_contexts, "naive")
-        assert comparable(events) == comparable(naive)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("workload", WORKLOAD_ORDER)
-    def test_full_experiment_window(self, workload):
-        """The exact window the experiment layer measures."""
-        events = run_workload(workload, "interleaved", 4, "events",
-                              warmup=30_000, measure=120_000)
-        naive = run_workload(workload, "interleaved", 4, "naive",
-                             warmup=30_000, measure=120_000)
-        assert comparable(events) == comparable(naive)
 
 
 class TestNextEventProtocol:
@@ -76,7 +26,9 @@ class TestNextEventProtocol:
     Property: whenever the processor predicts its next issue opportunity
     strictly in the future, stepping the current cycle must not issue or
     retire anything — a prediction that skipped over real work would
-    corrupt the fast-forward.
+    corrupt the fast-forward.  Checked on the burst engine's processor,
+    stepping the way its loop does: a dispatched burst owns the cycles
+    up to ``burst_until``.
     """
 
     @settings(max_examples=25, deadline=None)
@@ -96,10 +48,12 @@ class TestNextEventProtocol:
         sim = WorkstationSimulator(procs, scheme=scheme,
                                    n_contexts=n_contexts,
                                    config=SystemConfig.fast(),
-                                   restart_halted=False, engine="naive")
+                                   restart_halted=False, engine="burst")
         proc = sim.processor
+        proc.burst_limit = 3_000
         stats = proc.stats
-        for now in range(3_000):
+        now = 0
+        while now < 3_000:
             predicted = proc.next_event_cycle(now)
             assert predicted >= now
             if predicted > now:
@@ -113,6 +67,7 @@ class TestNextEventProtocol:
                     % (now, predicted))
             else:
                 proc.step(now)
+            now = max(now + 1, proc.burst_until)
 
 
 class TestDeadlockSemantics:
@@ -133,14 +88,14 @@ class TestDeadlockSemantics:
         sim.sync.try_acquire(lock_addr, "phantom", HardwareContext(9))
         return sim
 
-    def test_events_engine_raises(self):
-        sim = self._blocked_sim("events")
+    def test_burst_engine_raises(self):
+        sim = self._blocked_sim("burst")
         with pytest.raises(SimulationDeadlock):
             sim.run(until=50_000)
 
     def test_naive_engine_burns_to_the_bound(self):
         # The reference loop has no deadlock detector: it charges SYNC
-        # idle slots until the bound.  The event engine adds detection
+        # idle slots until the bound.  The burst engine adds detection
         # because jumping would otherwise spin forever at one cycle.
         sim = self._blocked_sim("naive")
         result = sim.run(until=50_000)
@@ -149,7 +104,7 @@ class TestDeadlockSemantics:
 
 
 class TestUnifiedRunAPI:
-    """run(until=...) is the one entry point; run(cycles) is shimmed."""
+    """run(until=...) is the one entry point; until is keyword-only."""
 
     def _sim(self, **kwargs):
         b = AsmBuilder("p", code_base=0x1000, data_base=0x400000)
@@ -161,14 +116,11 @@ class TestUnifiedRunAPI:
                                     scheme="single", n_contexts=1,
                                     config=SystemConfig.fast(), **kwargs)
 
-    def test_positional_cycles_warns_and_is_relative(self):
+    def test_positional_cycles_rejected(self):
         sim = self._sim()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
+        with pytest.raises(TypeError):
             sim.run(1_000)
-        assert sim.now == 1_000
-        with pytest.warns(DeprecationWarning):
-            sim.run(1_000)
-        assert sim.now == 2_000
+        assert sim.now == 0
 
     def test_until_is_absolute_and_does_not_warn(self):
         import warnings
@@ -198,5 +150,10 @@ class TestUnifiedRunAPI:
         assert result.retired > 0
 
     def test_engine_argument_validated(self):
-        with pytest.raises(ValueError, match="engine"):
-            self._sim(engine="warp")
+        # "events" names the retired idle-only engine.
+        for engine in ("warp", "events"):
+            with pytest.raises(ValueError, match="engine"):
+                self._sim(engine=engine)
+
+    def test_default_engine_is_burst(self):
+        assert self._sim().engine == "burst"

@@ -226,7 +226,7 @@ class TestPackedScheduleProperty:
                 == burst.duration * width)
 
         bulk = Scoreboard(1)
-        bulk.apply_burst(0, 0, burst.writes_out)
+        bulk.apply_burst_compiled(0, 0, burst)
         assert list(bulk.reg_ready) == list(sb.reg_ready)
         assert bytes(bulk.reg_mem) == bytes(sb.reg_mem)
 

@@ -8,11 +8,9 @@ multi-block loop bodies, loop nests, cross-context sharing and
 spin-locks) — must produce byte-identical ``RunResult.to_json()``
 payloads across
 
-* all three engines (``naive`` per-cycle reference, ``events``
-  fast-forward, ``burst`` precompiled segments),
-* issue widths 1/2/4 (the Section 7 extension study), and
-* both scoreboard backends (pure-python and numpy), when numpy is
-  installed.
+* both engines (``naive`` per-cycle reference, ``burst`` fast-forward
+  plus precompiled segments), and
+* issue widths 1/2/4 (the Section 7 extension study).
 
 The PR lane runs these deterministically through the
 ``differential-ci`` hypothesis profile (tests/conftest.py); nightly
@@ -27,16 +25,13 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.pipeline.scoreboard import HAVE_NUMPY
-
 from .harness import (
+    ENGINES,
     assert_identical,
     gen_specs,
     listing_for,
     run_spec,
 )
-
-ENGINES = ("naive", "events", "burst")
 
 #: All sharing patterns the generator can emit; multi-context points
 #: draw from the full set so the lock/CAS paths get fuzzed too.
@@ -45,22 +40,17 @@ SHARING = ("private", "read", "rw", "lock")
 #: Example budget for the slow deep sweep; the nightly lane raises it.
 DEEP_EXAMPLES = int(os.environ.get("DIFFERENTIAL_DEEP_EXAMPLES", "40"))
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not installed "
-                                        "(repro[fast] extra)")
 
-
-def _check_engines(spec, scheme, n_contexts, width, backend=None):
-    """All engines at one (scheme, contexts, width, backend) point."""
+def _check_engines(spec, scheme, n_contexts, width):
+    """Both engines at one (scheme, contexts, width) point."""
     results = {
-        engine: run_spec(spec, scheme, n_contexts, engine, width=width,
-                         backend=backend)
+        engine: run_spec(spec, scheme, n_contexts, engine, width=width)
         for engine in ENGINES
     }
     assert_identical(
         results,
-        context="%s x%d width=%d backend=%s spec=%r"
-                % (scheme, n_contexts, width, backend, spec),
+        context="%s x%d width=%d spec=%r"
+                % (scheme, n_contexts, width, spec),
         listing=listing_for(spec))
 
 
@@ -78,47 +68,22 @@ def test_generated_programs_bit_identical(spec, scheme, n_contexts,
     _check_engines(spec, scheme, n_contexts, width)
 
 
-@needs_numpy
-@given(spec=gen_specs(sharing=SHARING),
-       width=st.sampled_from((1, 2, 4)))
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=(HealthCheck.too_slow,))
-def test_generated_programs_backend_identical(spec, width):
-    """Engine x backend grid on the interleaved 4-context machine.
-
-    The numpy scoreboard must be invisible: every engine on the numpy
-    backend matches the naive/python reference bit for bit.
-    """
-    reference = run_spec(spec, "interleaved", 4, "naive", width=width,
-                         backend="python")
-    results = {"naive": reference}
-    for engine in ENGINES:
-        results["%s/numpy" % engine] = run_spec(
-            spec, "interleaved", 4, engine, width=width, backend="numpy")
-    assert_identical(
-        results,
-        context="interleaved x4 width=%d backend grid spec=%r"
-                % (width, spec),
-        listing=listing_for(spec))
-
-
-@given(spec=gen_specs(sharing=("lock",)),
-       engine=st.sampled_from(("events", "burst")))
+@given(spec=gen_specs(sharing=("lock",)))
 @settings(max_examples=8, deadline=None,
           suppress_health_check=(HealthCheck.too_slow,))
-def test_generated_lock_contention_bit_identical(spec, engine):
+def test_generated_lock_contention_bit_identical(spec):
     """Spin-lock contention point: 4 contexts hammering one lock word.
 
     The sharing="lock" pattern is the hardest case for the accelerated
-    engines (backoff timing, CAS failure paths), so it gets a dedicated
+    engine (backoff timing, CAS failure paths), so it gets a dedicated
     always-contended probe beyond its share of the main sweep.
     """
     results = {
-        "naive": run_spec(spec, "interleaved", 4, "naive"),
-        engine: run_spec(spec, "interleaved", 4, engine),
+        engine: run_spec(spec, "interleaved", 4, engine)
+        for engine in ENGINES
     }
     assert_identical(results,
-                     context="lock contention %s spec=%r" % (engine, spec),
+                     context="lock contention spec=%r" % (spec,),
                      listing=listing_for(spec))
 
 
@@ -126,13 +91,9 @@ def test_generated_lock_contention_bit_identical(spec, engine):
 @given(spec=gen_specs(sharing=SHARING),
        scheme=st.sampled_from(("blocked", "interleaved")),
        n_contexts=st.sampled_from((2, 4)),
-       width=st.sampled_from((2, 4)),
-       backend=st.sampled_from(("python", "numpy")))
+       width=st.sampled_from((2, 4)))
 @settings(max_examples=DEEP_EXAMPLES, deadline=None,
           suppress_health_check=(HealthCheck.too_slow,))
-def test_generated_programs_deep(spec, scheme, n_contexts, width,
-                                 backend):
+def test_generated_programs_deep(spec, scheme, n_contexts, width):
     """Deep sweep over the full grid, multi-issue multi-context corner."""
-    if backend == "numpy" and not HAVE_NUMPY:
-        backend = "python"
-    _check_engines(spec, scheme, n_contexts, width, backend=backend)
+    _check_engines(spec, scheme, n_contexts, width)

@@ -1,7 +1,7 @@
 """Workstation engine-identity matrix (the acceptance grid).
 
 Every Table 5 workload mix x issue width 1/2/4 must produce
-bit-identical stats on all three engines; a scheme x context sweep on
+bit-identical stats on both engines; a scheme x context sweep on
 one representative mix covers the scheduling-policy axis.  The naive
 per-cycle loop is the reference (see harness.py).
 """
@@ -10,9 +10,7 @@ import pytest
 
 from repro.workloads.uniprocessor import WORKLOAD_ORDER
 
-from .harness import WIDTHS, assert_identical, run_workstation
-
-ENGINES = ("naive", "events", "burst")
+from .harness import ENGINES, WIDTHS, assert_identical, run_workstation
 
 
 @pytest.mark.parametrize("width", WIDTHS)

@@ -90,8 +90,8 @@ class TestMultiprocessorRuns:
             MultiprocessorParams(n_nodes=2), scheme="interleaved",
             n_contexts=2, seed=7, **kwargs).load("mp3d", scale=0.25)
 
-    def test_run_to_completion(self):
-        result = self._simulation().run()
+    def test_run_until_completion(self):
+        result = self._simulation().run(until=10_000_000)
         assert result.kind == "multiprocessor"
         assert result.workload == "mp3d"
         assert result.completed is True

@@ -1,5 +1,7 @@
 """Scoreboard hazard detection (Table 3 issue-to-issue distances)."""
 
+from types import SimpleNamespace
+
 from repro.isa.opcodes import Op
 from repro.isa.instruction import Instruction
 from repro.pipeline.scoreboard import Scoreboard
@@ -100,6 +102,15 @@ class TestContextIsolation:
         until, _ = sb.hazard_until(0, I(Op.FADD, rd=36, rs1=33,
                                         rs2=34), 1)
         assert until == 1
+
+    def test_clear_context_is_isolated(self):
+        sb = Scoreboard(2)
+        sb.issue(0, I(Op.FDIV, rd=33, rs1=34, rs2=35), 0)
+        sb.issue(1, I(Op.FDIV, rd=36, rs1=37, rs2=38), 70)
+        sb.set_ready(0, 8, 40, memory=True)
+        sb.clear_context(0)
+        assert sb.reg_ready[33] == 0 and sb.reg_mem[8] == 0
+        assert sb.reg_ready[(1 << 6) + 36] == 70 + 61
 
     def test_normal_write_clears_memory_flag(self):
         sb = Scoreboard(1)
@@ -203,7 +214,8 @@ class TestStallAttribution:
 
 
 class TestBurstBulkOps:
-    """apply_burst / can_dispatch_burst: the burst engine's fast path."""
+    """apply_burst_compiled / can_dispatch_burst: the burst engine's
+    fast path."""
 
     def test_apply_burst_matches_serial_issues(self):
         insts = [I(Op.ADD, rd=8, rs1=9, rs2=10),
@@ -216,7 +228,8 @@ class TestBurstBulkOps:
             now += 1
         bulk = Scoreboard(2)
         bulk.reg_mem[(1 << 6) + 8] = 1   # stale miss flag must clear
-        bulk.apply_burst(1, 100, ((8, 1), (9, 4), (33, 6)))
+        bulk.apply_burst_compiled(
+            1, 100, SimpleNamespace(writes_out=((8, 1), (9, 4), (33, 6))))
         assert list(bulk.reg_ready) == list(serial.reg_ready)
         assert bytes(bulk.reg_mem) == bytes(serial.reg_mem)
 
@@ -233,6 +246,7 @@ class TestBurstBulkOps:
 
     def test_other_contexts_untouched(self):
         sb = Scoreboard(2)
-        sb.apply_burst(0, 50, ((8, 3), (33, 7)))
+        sb.apply_burst_compiled(
+            0, 50, SimpleNamespace(writes_out=((8, 3), (33, 7))))
         assert all(t == 0 for t in sb.reg_ready[64:])
         assert sb.reg_ready[8] == 53 and sb.reg_ready[33] == 57

@@ -1,11 +1,10 @@
 """Every benchmark module imports cleanly with DeprecationWarning=error.
 
-The deprecated ``run(cycles)`` / ``run_to_completion(max_cycles)``
-entry points warn at *call* time, so a plain import cannot catch a
-stale caller — but module-level helpers, spec tables, and default
-arguments are evaluated here, and any module that grew an import-time
-dependency on a deprecated API fails this test rather than the nightly
-benchmark job.
+A plain import cannot catch a stale caller of a removed entry point
+such as ``run(cycles)`` (use ``run(until=...)``), but module-level
+helpers, spec tables, and default arguments are evaluated here, and any
+module that grew an import-time dependency on a deprecated API fails
+this test rather than the nightly benchmark job.
 """
 
 import importlib.util
