@@ -297,7 +297,7 @@ class ResultCache:
                               meta=meta)
 
     def put_state(self, key, kind, state, meta=None):
-        """Persist an already-serialised result state (sweep workers)."""
+        """Persist an already-serialised result state (service workers)."""
         payload = {
             "schema": CACHE_SCHEMA,
             "key": key,

@@ -7,12 +7,15 @@ in process memory — and, when given a :class:`~repro.experiments.cache.
 ResultCache`, reads/writes a content-addressed on-disk cache so the same
 simulation is never computed twice across processes or invocations.
 
-The module-level ``compute_*`` functions are the *only* way a simulation
-point is ever produced: the serial context calls them directly and the
-parallel :class:`~repro.experiments.sweep.SweepEngine` calls them inside
-worker processes, so parallel results are bit-identical to serial ones
-by construction (each point is seeded independently from the context's
-seed; no state is shared between points).
+The module-level ``compute_*`` functions are the *only* place a
+simulation point is built and run: the serial context calls them
+directly and the service's worker processes
+(:func:`repro.service.worker.compute_point`, which also serve the
+parallel :class:`~repro.experiments.sweep.SweepEngine`) call them too,
+so parallel results are bit-identical to serial ones by construction
+(each point is seeded independently from the context's seed; no state
+is shared between points).  :func:`point_window` is the one statement
+of which cycle window a point runs over, and so of its cache key.
 """
 
 from repro.api import Simulation
@@ -22,6 +25,15 @@ from repro.config import SystemConfig, MultiprocessorParams
 UNIPROC_WARMUP = 30_000
 UNIPROC_MEASURE = 120_000
 MP_MAX_CYCLES = 20_000_000
+
+
+def point_window(kind, warmup, measure):
+    """(warmup, measure) a point of ``kind`` runs over: an mp point runs
+    to completion within ``MP_MAX_CYCLES``, every other kind over the
+    given measurement window."""
+    if kind == "mp":
+        return 0, MP_MAX_CYCLES
+    return warmup, measure
 
 
 def compute_uniproc(workload, scheme, n_contexts, config, seed,
@@ -109,10 +121,7 @@ class ExperimentContext:
     def point_cache_key(self, kind, name, scheme="single", n_contexts=1):
         """The on-disk cache key of one of this context's points."""
         from repro.experiments import cache as cache_mod
-        if kind == "mp":
-            warmup, measure = 0, MP_MAX_CYCLES
-        else:
-            warmup, measure = self.warmup, self.measure
+        warmup, measure = point_window(kind, self.warmup, self.measure)
         return cache_mod.point_key(
             kind, name, scheme, n_contexts, self.config, self.mp_params,
             self.seed, warmup, measure)
@@ -132,7 +141,7 @@ class ExperimentContext:
                           "n_contexts": n_contexts, "seed": self.seed})
 
     def store_point(self, kind, name, scheme, n_contexts, result):
-        """Inject an externally computed result (sweep worker) into the
+        """Inject an externally computed result (service worker) into the
         in-process memo, exactly as a cache load would."""
         if kind == "uniproc":
             self._uniproc[(name, scheme, n_contexts)] = UniprocRun(

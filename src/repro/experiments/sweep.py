@@ -4,24 +4,27 @@ The paper's result set is an embarrassingly parallel sweep: each
 (workload, scheme, n_contexts) / (app, scheme, n_contexts) point is an
 independent, deterministic simulation.  :class:`SweepEngine` enumerates
 the points the figures and tables declare (their ``points()`` hooks),
-skips everything already memoised or in the on-disk cache, and runs the
-remainder over a :class:`concurrent.futures.ProcessPoolExecutor`.
+skips everything already memoised, and fills the context with the rest:
+serially through the context's own accessors, or as one job on the
+service's :class:`~repro.service.manager.JobManager` worker pool.  Either
+way each point is read through the on-disk cache before it is computed.
 
-Determinism contract: a worker computes a point with the *same*
-module-level ``compute_*`` function, the same configuration objects, and
-the same per-point seed that the serial :class:`ExperimentContext` path
-uses, and no state is shared between points — so parallel results are
-bit-identical to serial ones, and cache entries written by either path
-are interchangeable.
+The sweep decides the order: it submits the points heaviest first
+(:func:`_cost_rank`), and the manager starts them in that order.
+
+Determinism contract: a worker builds a point with the *same*
+:mod:`repro.experiments.runner` ``compute_*`` function, the same
+configuration objects, and the same per-point seed that the serial
+:class:`ExperimentContext` path uses, and no state is shared between
+points — so parallel results are bit-identical to serial ones, and cache
+entries written by either path are interchangeable.
 """
 
 import os
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor, as_completed
 
 from repro.experiments import cache as cache_mod
-from repro.experiments import runner as runner_mod
 from repro.experiments.runner import ExperimentContext
 
 #: One simulation point.  ``kind`` is "uniproc" (measured workload run),
@@ -75,28 +78,6 @@ def _cost_rank(point):
     return (point.kind == "mp", point.n_contexts)
 
 
-def _compute_point_state(kind, name, scheme, n_contexts, config,
-                         mp_params, seed, warmup, measure,
-                         engine="burst"):
-    """Worker entry: compute one point, return its serialised state.
-
-    Runs in a forked/spawned process; must only touch its arguments.
-    """
-    if kind == "uniproc":
-        result, _ = runner_mod.compute_uniproc(
-            name, scheme, n_contexts, config, seed, warmup, measure,
-            engine=engine)
-    elif kind == "dedicated":
-        result = runner_mod.compute_dedicated(
-            name, config, seed, warmup, measure, engine=engine)
-    elif kind == "mp":
-        result = runner_mod.compute_mp(name, scheme, n_contexts,
-                                       mp_params, seed, engine=engine)
-    else:
-        raise ValueError("unknown point kind %r" % kind)
-    return cache_mod.SERIALIZERS[kind][0](result)
-
-
 class SweepReport:
     """What a sweep did: per-point outcomes and aggregate timings."""
 
@@ -144,8 +125,6 @@ class SweepEngine:
         self.jobs = jobs if jobs else (os.cpu_count() or 1)
         self.progress = progress if progress is not None else lambda msg: None
 
-    # -- lookup helpers ------------------------------------------------------
-
     def _memoised(self, point):
         ctx = self.ctx
         if point.kind == "uniproc":
@@ -155,77 +134,37 @@ class SweepEngine:
             return point.name in ctx._dedicated
         return (point.name, point.scheme, point.n_contexts) in ctx._mp
 
-    def _from_cache(self, point):
-        ctx = self.ctx
-        if ctx.cache is None:
-            return None
-        key = ctx.point_cache_key(*point)
-        return ctx.cache.get(key, point.kind)
-
-    def _task_args(self, point):
-        ctx = self.ctx
-        if point.kind == "mp":
-            warmup, measure = 0, runner_mod.MP_MAX_CYCLES
-        else:
-            warmup, measure = ctx.warmup, ctx.measure
-        return (point.kind, point.name, point.scheme, point.n_contexts,
-                ctx.config, ctx.mp_params, ctx.seed, warmup, measure,
-                ctx.engine)
-
-    def _store(self, point, state):
-        """Cache + memoise one worker-computed state dict."""
-        ctx = self.ctx
-        result = cache_mod.SERIALIZERS[point.kind][1](state)
-        if ctx.cache is not None:
-            ctx.cache.put_state(
-                ctx.point_cache_key(*point), point.kind, state,
-                meta={"kind": point.kind, "name": point.name,
-                      "scheme": point.scheme,
-                      "n_contexts": point.n_contexts, "seed": ctx.seed})
-        ctx.store_point(*point, result)
-        return result
-
-    def _label(self, point):
-        return "%-9s %s/%s/%d" % (point.kind, point.name, point.scheme,
-                                  point.n_contexts)
-
-    # -- execution -----------------------------------------------------------
+    def _announce(self, done, total, point, detail):
+        self.progress("[%3d/%d] %-9s %s/%s/%d  %s"
+                      % (done, total, point.kind, point.name, point.scheme,
+                         point.n_contexts, detail))
 
     def run(self, points=None):
         """Ensure every point is available; returns a SweepReport."""
         t0 = time.perf_counter()
         points = dedupe(points if points is not None else default_points())
-        outcomes = []
-        pending = []
-        total = len(points)
+        outcomes, pending = [], []
         for point in points:
-            start = time.perf_counter()
             if self._memoised(point):
                 outcomes.append(PointOutcome(point, "memo", 0.0))
-                continue
-            result = self._from_cache(point)
-            if result is not None:
-                self.ctx.store_point(*point, result)
-                outcomes.append(PointOutcome(
-                    point, "cache", time.perf_counter() - start))
-                self.progress("[%3d/%d] %s  cache hit"
-                              % (len(outcomes), total, self._label(point)))
-                continue
-            pending.append(point)
-        done = len(outcomes)
+            else:
+                pending.append(point)
         pending.sort(key=_cost_rank, reverse=True)
         if pending:
             if self.jobs <= 1 or len(pending) == 1:
-                outcomes += self._run_serial(pending, done, total)
+                run = self._run_serial
             else:
-                outcomes += self._run_parallel(pending, done, total)
+                run = self._run_parallel
+            outcomes += run(pending, len(outcomes), len(points))
         return SweepReport(outcomes, time.perf_counter() - t0, self.jobs)
 
     def _run_serial(self, pending, done, total):
+        """Read through the context: its cache, else a live run."""
         out = []
         ctx = self.ctx
         for point in pending:
             start = time.perf_counter()
+            sims = ctx.sim_count
             if point.kind == "uniproc":
                 ctx.uniproc_run(point.name, point.scheme, point.n_contexts)
             elif point.kind == "dedicated":
@@ -233,27 +172,41 @@ class SweepEngine:
             else:
                 ctx.mp_run(point.name, point.scheme, point.n_contexts)
             seconds = time.perf_counter() - start
+            source = "computed" if ctx.sim_count > sims else "cache"
             done += 1
-            self.progress("[%3d/%d] %s  %.2f s"
-                          % (done, total, self._label(point), seconds))
-            out.append(PointOutcome(point, "computed", seconds))
+            self._announce(done, total, point,
+                           "%.2f s" % seconds if source == "computed"
+                           else "cache hit")
+            out.append(PointOutcome(point, source, seconds))
         return out
 
     def _run_parallel(self, pending, done, total):
+        """Run ``pending`` as one job on the service's worker pool.
+
+        The manager reads each point through the context's cache and
+        writes what it computes back; points start in ``pending``
+        order and are reported here as they complete.
+        """
+        from repro.service import JobManager, JobSpec
+        ctx = self.ctx
+        spec = JobSpec(points=pending, config=ctx.config,
+                       mp_params=ctx.mp_params, seed=ctx.seed,
+                       warmup=ctx.warmup, measure=ctx.measure,
+                       engine=ctx.engine)
         out = []
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with JobManager(workers=min(self.jobs, len(pending)),
+                        cache=ctx.cache) as manager:
             submitted = time.perf_counter()
-            futures = {pool.submit(_compute_point_state,
-                                   *self._task_args(p)): p
-                       for p in pending}
-            for future in as_completed(futures):
-                point = futures[future]
-                state = future.result()
-                self._store(point, state)
+            job_id = manager.submit(spec)
+            for index, _payload in enumerate(manager.iter_results(job_id)):
+                point, source, state = manager.point_states(job_id)[index]
+                ctx.store_point(*point,
+                                cache_mod.SERIALIZERS[point.kind][1](state))
                 seconds = time.perf_counter() - submitted
                 done += 1
-                self.progress("[%3d/%d] %s  done at +%.2f s"
-                              % (done, total, self._label(point), seconds))
-                out.append(PointOutcome(point, "computed", seconds))
+                self._announce(done, total, point,
+                               "done at +%.2f s" % seconds
+                               if source == "computed" else "cache hit")
+                out.append(PointOutcome(point, source, seconds))
+            manager.results(job_id)    # raises unless every point finished
         return out

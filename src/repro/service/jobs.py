@@ -14,9 +14,9 @@ variable both the synchronous and async streaming iterators block on.
 import threading
 from dataclasses import dataclass, field
 
-from repro.config import SystemConfig, MultiprocessorParams
+from repro.config import ConfigError, SystemConfig, MultiprocessorParams
 from repro.experiments.runner import (UNIPROC_WARMUP, UNIPROC_MEASURE,
-                                      MP_MAX_CYCLES)
+                                      point_window)
 from repro.experiments.sweep import SweepPoint, dedupe
 
 #: Job lifecycle states.
@@ -80,6 +80,19 @@ class JobSpec:
         if self.engine not in ("burst", "naive"):
             raise ValueError("engine must be 'burst' or 'naive', not %r"
                              % (self.engine,))
+        # A spec can arrive over the spool or TCP: refuse a window or a
+        # budget that would run nothing, or run and mean nothing.
+        if self.warmup < 0:
+            raise ConfigError("warmup must be >= 0, not %r" % (self.warmup,))
+        if self.measure < 1:
+            raise ConfigError("measure must be >= 1, not %r"
+                              % (self.measure,))
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0, not %r"
+                              % (self.max_retries,))
+        if self.timeout is not None and self.timeout <= 0:
+            raise ConfigError("timeout must be > 0 seconds or None, not %r"
+                              % (self.timeout,))
 
     @classmethod
     def sweep(cls, workloads=None, apps=None, **kwargs):
@@ -90,9 +103,7 @@ class JobSpec:
 
     def point_window(self, point):
         """(warmup, measure) for ``point``, as the batch path uses them."""
-        if point.kind == "mp":
-            return 0, MP_MAX_CYCLES
-        return self.warmup, self.measure
+        return point_window(point.kind, self.warmup, self.measure)
 
     def cache_key(self, point):
         """The point's on-disk :class:`ResultCache` key (shared with the
@@ -207,8 +218,8 @@ class JobRecord:
         self.status = PENDING
         self.error = None
         self.points = {p: PointState(p) for p in spec.points}
-        #: ``RunResult.to_json()`` strings, in completion order.
-        self.payloads = []
+        #: Finished :class:`PointState` objects, in completion order.
+        self.completed = []
         self.burst_stats = {"hits": 0, "misses": 0, "stores": 0,
                             "rejected": 0}
         self.finished_at = None
@@ -260,11 +271,11 @@ class JobRecord:
         """
         with self.cond:
             def ready():
-                return len(self.payloads) > index or self.is_terminal()
+                return len(self.completed) > index or self.is_terminal()
             if not self.cond.wait_for(ready, timeout=timeout):
                 return None
-            if len(self.payloads) > index:
-                return self.payloads[index]
+            if len(self.completed) > index:
+                return self.completed[index].payload
             return None
 
 

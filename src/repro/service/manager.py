@@ -21,6 +21,11 @@ robustness rules:
   completed points are flushed to the result cache before the
   scheduler exits; never-started jobs are cancelled.
 
+Points start in the order the spec lists them; a caller that wants
+another order sorts before it submits (the parallel
+:class:`~repro.experiments.sweep.SweepEngine`, which runs on this pool,
+submits its points heaviest first).
+
 Clients observe jobs through ``status`` snapshots, blocking
 ``results``, a synchronous ``iter_results`` generator, or the ``async``
 ``stream`` iterator — all fed from the same per-job record.
@@ -181,7 +186,7 @@ class JobManager:
                     "job %s %s%s" % (job_id, record.status,
                                      ": %s" % record.error
                                      if record.error else ""))
-            return list(record.payloads)
+            return [ps.payload for ps in record.completed]
 
     def iter_results(self, job_id, timeout=None):
         """Yield payloads as points complete (synchronous generator)."""
@@ -221,7 +226,20 @@ class JobManager:
         """
         record = self._record(job_id)
         with record.cond:
-            return list(record.payloads[start:])
+            return [ps.payload for ps in record.completed[start:]]
+
+    def point_states(self, job_id):
+        """Non-blocking: ``(point, source, state)`` of each finished point.
+
+        In completion order, like the payloads; ``state`` is the
+        point's serialised result (the :class:`ResultCache` format) and
+        ``source`` is ``"cache"`` or ``"computed"``.  The sweep engine
+        reads its results back through this.
+        """
+        record = self._record(job_id)
+        with record.cond:
+            return [(ps.point, ps.source, ps.state)
+                    for ps in record.completed]
 
     def wait_payload(self, job_id, index, timeout=None):
         """Block until payload ``index`` exists or the job is terminal.
@@ -435,9 +453,11 @@ class JobManager:
         if burst:
             for k, v in burst.items():
                 record.burst_stats[k] = record.burst_stats.get(k, 0) + v
-        if self.cache is not None:
+        if source == "cache":
+            ps.flushed = True          # already on disk; not rewritten
+        elif self.cache is not None:
             self._cache_put(spec, ps)
-        record.payloads.append(ps.payload)
+        record.completed.append(ps)
         record.cond.notify_all()
 
     def _cache_put(self, spec, ps):

@@ -2,18 +2,20 @@
 
 One worker process computes one point per attempt: the manager spawns
 ``multiprocessing.Process(target=worker_main, ...)`` with a one-way
-pipe, the worker runs the simulation exactly as the batch path would,
-and sends back a single result message.  Process-per-attempt keeps the
-failure domain small — a dying worker loses exactly one attempt of one
-point, which the manager retries with backoff — and makes the kill
-injection used by the CI soak test trivially safe.
+pipe, the worker runs the simulation, and sends back a single result
+message.  Process-per-attempt keeps the failure domain small — a dying
+worker loses exactly one attempt of one point, which the manager
+retries with backoff — and makes the kill injection used by the CI soak
+test trivially safe.  These workers are the project's only process
+fan-out: service jobs and the parallel
+:class:`~repro.experiments.sweep.SweepEngine` both run on them.
 
-Determinism contract: the simulation inputs in a task are precisely the
-arguments :mod:`repro.experiments.runner`'s ``compute_*`` functions
-receive on the batch path (same configs, same per-point seed, same
-windows), so a service-computed point is bit-identical to a serial
-:class:`~repro.experiments.sweep.SweepEngine` one and their cache
-entries are interchangeable.
+Determinism contract: a worker builds and runs its point with
+:mod:`repro.experiments.runner`'s ``compute_*`` functions, given
+precisely the arguments the serial path gives them (same configs, same
+per-point seed, same :func:`~repro.experiments.runner.point_window`), so
+a service-computed point is bit-identical to a serial one and their
+cache entries are interchangeable.
 
 When the task carries a ``burst_dir`` and the burst engine is selected,
 the worker installs the shared :class:`~repro.service.burst_cache.
@@ -29,7 +31,7 @@ import time
 import traceback
 
 from repro.experiments import cache as cache_mod
-from repro.experiments.runner import MP_MAX_CYCLES
+from repro.experiments import runner
 
 
 def make_task(spec, point, attempt=0, burst_dir=None, fail_times=0):
@@ -63,7 +65,6 @@ def compute_point(task):
     kind = task["kind"]
     engine = task["engine"]
     burst_cache = None
-    from repro.api import Simulation
     from repro.isa.program import Program
     if task.get("burst_dir") is not None and engine == "burst":
         from repro.service.burst_cache import BurstTableCache
@@ -71,41 +72,23 @@ def compute_point(task):
         Program.burst_provider = burst_cache
     t0 = time.perf_counter()
     try:
-        if kind == "uniproc":
-            simulation = Simulation.from_config(
-                task["config"], scheme=task["scheme"],
-                n_contexts=task["n_contexts"], seed=task["seed"],
-                engine=engine).load(task["name"])
-            result = simulation.run(warmup=task["warmup"],
-                                    measure=task["measure"])
+        if kind in ("uniproc", "gen"):
+            # A generated family's name is its GenSpec's canonical text
+            # ("" = default spec); the programs are built here and
+            # verified at birth, so a bad spec fails the point loudly.
+            name = "gen:" + task["name"] if kind == "gen" else task["name"]
+            result, _sim = runner.compute_uniproc(
+                name, task["scheme"], task["n_contexts"], task["config"],
+                task["seed"], task["warmup"], task["measure"],
+                engine=engine)
         elif kind == "dedicated":
-            simulation = Simulation.from_config(
-                task["config"], scheme="single", n_contexts=1,
-                seed=task["seed"], engine=engine).load(task["name"])
-            result = simulation.run(warmup=task["warmup"],
-                                    measure=task["measure"])
-        elif kind == "gen":
-            # A generated family: the point's name is the GenSpec's
-            # canonical text ("" = default spec); programs are built on
-            # the worker (deterministic from the spec) and verified at
-            # birth, so a bad spec fails the point loudly.
-            simulation = Simulation.from_config(
-                task["config"], scheme=task["scheme"],
-                n_contexts=task["n_contexts"], seed=task["seed"],
-                engine=engine).load(
-                    "gen:" + task["name"])
-            result = simulation.run(warmup=task["warmup"],
-                                    measure=task["measure"])
+            result = runner.compute_dedicated(
+                task["name"], task["config"], task["seed"], task["warmup"],
+                task["measure"], engine=engine)
         elif kind == "mp":
-            simulation = Simulation.from_config(
-                task["mp_params"], scheme=task["scheme"],
-                n_contexts=task["n_contexts"], seed=task["seed"],
-                engine=engine).load(task["name"])
-            result = simulation.run(until=MP_MAX_CYCLES)
-            if not result.completed:
-                raise RuntimeError(
-                    "application %r did not finish within %d cycles"
-                    % (task["name"], MP_MAX_CYCLES))
+            result = runner.compute_mp(
+                task["name"], task["scheme"], task["n_contexts"],
+                task["mp_params"], task["seed"], engine=engine)
         else:
             raise ValueError("unknown point kind %r" % (kind,))
     finally:
@@ -117,7 +100,7 @@ def compute_point(task):
     # byte-identical payloads.
     return {
         "ok": True,
-        "state": cache_mod.SERIALIZERS[kind][0](result.raw),
+        "state": cache_mod.SERIALIZERS[kind][0](result),
         "seconds": time.perf_counter() - t0,
         "burst": (burst_cache.session_stats() if burst_cache is not None
                   else None),

@@ -95,6 +95,27 @@ class TestCacheBehaviour:
         assert report.count("cache") == len(POINTS)
         assert warm.cache.session_stats()["hits"] == len(POINTS)
 
+    def test_parallel_cold_then_warm_reads_each_entry_once(self, tmp_path):
+        """On the worker pool, a cold sweep misses and stores each point
+        once and a warm one hits each once: no entry is read twice, and
+        none is rewritten."""
+        cache_dir = tmp_path / "cache"
+        cold = make_ctx(ResultCache(cache_dir))
+        report = SweepEngine(cold, jobs=2).run(POINTS)
+        assert report.count("computed") == len(POINTS)
+        assert cold.cache.session_stats() == {
+            "hits": 0, "misses": len(POINTS), "stores": len(POINTS),
+            "corrupt": 0}
+
+        warm = make_ctx(ResultCache(cache_dir))
+        report = SweepEngine(warm, jobs=2).run(POINTS)
+        assert report.count("cache") == len(POINTS)
+        assert report.count("computed") == 0
+        assert warm.cache.session_stats() == {
+            "hits": len(POINTS), "misses": 0, "stores": 0, "corrupt": 0}
+        assert (warm.mp_run("cholesky", "interleaved", 2).cycles
+                == cold.mp_run("cholesky", "interleaved", 2).cycles)
+
     def test_context_reads_through_cache(self, tmp_path):
         """Plain ExperimentContext accessors hit the same cache the
         sweep engine fills — no re-simulation, identical numbers."""
@@ -144,6 +165,14 @@ class TestCacheBehaviour:
         assert report.count("cache") == 3
         assert report.count("computed") == 2
         assert ctx.sim_count == 2
+
+
+class TestFailure:
+    def test_unknown_app_fails_the_parallel_sweep(self):
+        from repro.service import ServiceError
+        bad = SweepPoint("mp", "no-such-app", "single", 1)
+        with pytest.raises(ServiceError, match="no-such-app/single/1"):
+            SweepEngine(make_ctx(), jobs=2).run([POINTS[0], bad])
 
 
 class TestPointEnumeration:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import SystemConfig, MultiprocessorParams
+from repro.config import ConfigError, SystemConfig, MultiprocessorParams
 from repro.experiments.runner import ExperimentContext
 from repro.service.jobs import JobSpec
 
@@ -32,6 +32,23 @@ def test_empty_job_rejected():
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError):
         _spec((("uniproc", "R1", "single", 1),), engine="warp")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("warmup", -5), ("measure", 0), ("measure", -100),
+    ("max_retries", -1), ("timeout", -1.0), ("timeout", 0)])
+@pytest.mark.parametrize("build", ["init", "from_dict"])
+def test_bad_window_or_budget_rejected(build, field, value):
+    """A spec from the spool or the wire cannot smuggle in a window or
+    a budget that would run nothing, or run and mean nothing."""
+    with pytest.raises(ConfigError, match=field):
+        if build == "init":
+            _spec((("uniproc", "R1", "single", 1),), **{field: value})
+        else:
+            payload = JobSpec(points=(("uniproc", "R1", "single", 1),)
+                              ).to_dict()
+            payload[field] = value
+            JobSpec.from_dict(payload)
 
 
 def test_sweep_classmethod_covers_default_points():

@@ -3,8 +3,8 @@
 Pins the api_redesign satellites: the ``Transport`` protocol is
 implemented by both ``SpoolTransport`` and ``ServiceClient``; the
 ``repro.service`` public surface is stable; serialized specs, statuses
-and payloads carry ``schema_version``; and the old positional
-``--spool`` CLI form warns but works.
+and payloads carry ``schema_version``; and the CLI names the spool
+directory only with ``--spool``.
 """
 
 import json
@@ -178,22 +178,23 @@ def test_unknown_job_id_raises_key_error(tmp_path):
         transport.status("sj-99999")
 
 
-# -- CLI: transports and the deprecated positional spool ------------------
+# -- CLI: transports and the --spool directory -----------------------------
 
-def test_cli_positional_spool_warns_and_works(tmp_path, capsys):
+@pytest.mark.parametrize("verb", ["submit", "serve"])
+def test_cli_positional_spool_is_a_usage_error(verb, tmp_path, capsys,
+                                               monkeypatch):
+    """The spool directory is named with --spool only: a positional
+    directory is refused, not silently swapped for the default spool."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_SPOOL_DIR", raising=False)
     spool_dir = str(tmp_path / "sp")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = cli_main(["submit", spool_dir,
-                       "--warmup", "1000", "--measure", "6000",
-                       "--points", "uniproc:R1:single:1"])
-    assert rc == 0
-    assert any(w.category is DeprecationWarning
-               and "--spool" in str(w.message) for w in caught)
-    job_id = capsys.readouterr().out.strip()
-    assert job_id == "sj-00001"
-    # the spec landed in the directory named positionally
-    assert Spool(spool_dir).pending()[0][0] == job_id
+    with pytest.raises(SystemExit) as exc:
+        cli_main([verb, spool_dir, "--once",
+                  "--points", "uniproc:R1:single:1"])
+    assert exc.value.code == 2
+    assert "--spool" in capsys.readouterr().err
+    assert not (tmp_path / "sp").exists()
+    assert not (tmp_path / ".repro_spool").exists()
 
 
 def test_cli_jobs_job_id_is_not_mistaken_for_a_spool(tmp_path, capsys):
