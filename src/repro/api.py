@@ -43,10 +43,6 @@ from repro.pipeline.stalls import (
     MULTIPROCESSOR_CATEGORIES,
 )
 
-#: Default completion bound for multiprocessor runs without ``until``.
-DEFAULT_MP_MAX_CYCLES = 50_000_000
-
-
 @dataclass
 class RunResult:
     """Outcome of one simulation run, for either machine family.
@@ -113,41 +109,47 @@ def _stats_fields(stats, cycles, categories):
     )
 
 
-def workstation_run_result(sim, window, workload=None):
-    """Wrap a workstation measurement window as a :class:`RunResult`."""
-    stats = window.stats
+def workstation_result(window, workload, scheme, n_contexts, seed, engine):
+    """The :class:`RunResult` of a workstation measurement window."""
     return RunResult(
         kind="workstation",
         workload=workload,
-        scheme=sim.processor.scheme,
-        n_contexts=sim.n_contexts,
-        seed=sim.seed,
-        engine=sim.engine,
+        scheme=scheme,
+        n_contexts=n_contexts,
+        seed=seed,
+        engine=engine,
         cycles=window.duration,
         completed=True,
         per_process=dict(window.per_process),
         raw=window,
-        **_stats_fields(stats, window.duration, UNIPROCESSOR_CATEGORIES),
+        **_stats_fields(window.stats, window.duration,
+                        UNIPROCESSOR_CATEGORIES),
     )
 
 
-def multiprocessor_run_result(sim, mp_result, workload=None):
-    """Wrap a multiprocessor run as a :class:`RunResult`."""
-    stats = mp_result.stats
+def multiprocessor_result(mp_result, workload, scheme, n_contexts, seed,
+                          engine, completed, per_process):
+    """The :class:`RunResult` of a multiprocessor run."""
     return RunResult(
         kind="multiprocessor",
-        workload=workload if workload is not None else sim.app.name,
-        scheme=sim.scheme,
-        n_contexts=sim.n_contexts,
-        seed=sim.seed,
-        engine=sim.engine,
+        workload=workload,
+        scheme=scheme,
+        n_contexts=n_contexts,
+        seed=seed,
+        engine=engine,
         cycles=mp_result.cycles,
-        completed=sim.all_halted(),
-        per_process={p.name: p.retired for p in sim.processes},
+        completed=completed,
+        per_process=per_process,
         raw=mp_result,
-        **_stats_fields(stats, mp_result.cycles,
+        **_stats_fields(mp_result.stats, mp_result.cycles,
                         MULTIPROCESSOR_CATEGORIES),
     )
+
+
+def workstation_run_result(sim, window, workload=None):
+    """Wrap a workstation simulator's measurement window."""
+    return workstation_result(window, workload, sim.processor.scheme,
+                              sim.n_contexts, sim.seed, sim.engine)
 
 
 class Simulation:
@@ -263,8 +265,9 @@ class Simulation:
         window — ``measure`` cycles when given, otherwise up to the
         absolute cycle ``until``.  Multiprocessor: run to completion,
         bounded by the absolute cycle ``until`` (default
-        ``DEFAULT_MP_MAX_CYCLES``); ``warmup``/``measure`` do not apply
-        (the paper times SPLASH runs whole).
+        ``MultiprocessorSimulator.DEFAULT_MAX_CYCLES`` from now);
+        ``warmup``/``measure`` do not apply (the paper times SPLASH runs
+        whole).
         """
         sim = self.simulator
         if sim is None:
@@ -273,11 +276,7 @@ class Simulation:
             if warmup or measure is not None:
                 raise ValueError("warmup/measure only apply to "
                                  "workstation simulations")
-            bound = (until if until is not None
-                     else sim.now + DEFAULT_MP_MAX_CYCLES)
-            sim._advance(bound)
-            return multiprocessor_run_result(sim, sim._result(),
-                                             workload=self.workload)
+            return sim.run(until=until)
         if measure is None:
             if until is None:
                 raise TypeError("workstation run() needs measure=<n> "

@@ -102,11 +102,6 @@ class MultiprocessorSimulator:
         """True when every thread of the application has executed HALT."""
         return self._halted >= len(self.processes)
 
-    def next_event_cycle(self):
-        """Event-protocol report for the whole machine: the earliest
-        cycle any node can issue (NEVER when fully halted/blocked)."""
-        return min(p.next_event_cycle(self.now) for p in self.processors)
-
     def run(self, *, until=None):
         """Advance until completion or ``until``; returns a
         :class:`repro.api.RunResult`.
@@ -118,9 +113,12 @@ class MultiprocessorSimulator:
         """
         if until is None:
             until = self.now + self.DEFAULT_MAX_CYCLES
-        from repro.api import multiprocessor_run_result
+        from repro.api import multiprocessor_result
         self._advance(until)
-        return multiprocessor_run_result(self, self._result())
+        return multiprocessor_result(
+            self._result(), self.app.name, self.scheme, self.n_contexts,
+            self.seed, self.engine, self.all_halted(),
+            {p.name: p.retired for p in self.processes})
 
     def _result(self):
         return MPResult(self.now, [p.stats for p in self.processors],

@@ -211,17 +211,18 @@ class Processor:
         if target > now:
             self.stats.add(reason, (target - now) * self.pp.issue_width)
 
-    # -- event protocol (burst engine) -------------------------------------------
+    # -- idle fast-forward (burst engine) ----------------------------------------
 
     def next_event_cycle(self, now):
         """Earliest cycle >= ``now`` at which this processor can issue.
 
-        The processor-level composition of the event protocol: ``now``
-        when a context is selectable this cycle, the end of a processor-
-        wide stall window, the earliest context wake (MSHR fill, TLB
-        refill, backoff, doomed completion), or :data:`NEVER` when only
-        an external event (lock/barrier handoff from another processor)
-        can make progress.
+        :meth:`idle_until` as one cycle: ``now`` when a context is
+        selectable this cycle, the end of a processor-wide stall window,
+        the earliest context wake (MSHR fill, TLB refill, backoff, doomed
+        completion), or :data:`NEVER` when only an external event
+        (lock/barrier handoff from another processor) can make progress.
+        The engines consult :meth:`idle_until` itself; this form states
+        the no-overshoot property the tests check.
         """
         info = self.idle_until(now)
         if info is None:

@@ -69,9 +69,9 @@ class WorkstationSimulator:
         if engine not in ("burst", "naive"):
             raise ValueError(
                 "engine must be 'burst' or 'naive', not %r" % (engine,))
-        #: "burst" fast-forwards idle windows via the next_event_cycle
-        #: protocol and retires precompiled straight-line runs in one
-        #: step; "naive" steps every cycle and is the reference the fast
+        #: "burst" fast-forwards idle windows (``Processor.idle_until``)
+        #: and retires precompiled straight-line runs in one step;
+        #: "naive" steps every cycle and is the reference the fast
         #: engine must match bit for bit.
         self.engine = engine
         self.config = config if config is not None else SystemConfig.fast()
@@ -179,18 +179,6 @@ class WorkstationSimulator:
 
     # -- running ------------------------------------------------------------------
 
-    def next_event_cycle(self):
-        """Event-protocol report for the whole workstation.
-
-        The earliest of the processor's next issue opportunity and the
-        scheduler's next slice interrupt; the burst engine's idle
-        fast-forward never jumps past this cycle.
-        """
-        slice_len = self.config.os.time_slice
-        next_interrupt = ((self.now // slice_len) + 1) * slice_len
-        return min(self.processor.next_event_cycle(self.now),
-                   next_interrupt)
-
     def run(self, *, until):
         """Advance the machine to the *absolute* cycle ``until``.
 
@@ -199,14 +187,7 @@ class WorkstationSimulator:
         :class:`repro.api.Simulation` facade.
         """
         from repro.api import workstation_run_result
-        start = self.now
-        stats_before = self.processor.stats.snapshot()
-        retired_before = {p.name: p.retired for p in self.processes}
-        self._advance(until)
-        stats = self.processor.stats.delta_since(stats_before)
-        per_process = {p.name: p.retired - retired_before[p.name]
-                       for p in self.processes}
-        window = RunResult(self.now - start, stats, per_process)
+        window = self.measure(max(0, until - self.now))
         if self.access_recorder is not None:
             window.shared_accesses = self.access_recorder.to_payload()
         return workstation_run_result(self, window)
@@ -239,9 +220,8 @@ class WorkstationSimulator:
         """Burst engine: idle fast-forward plus one-step burst retire.
 
         Two fast paths over per-cycle stepping.  The idle probe
-        (``Processor.idle_until`` — the accounting variant of
-        ``next_event_cycle``) is only taken when the previous step was
-        idle or froze the front end, keeping it off the busy hot path;
+        (``Processor.idle_until``) is only taken when the previous step
+        was idle or froze the front end, keeping it off the busy hot path;
         idle jumps never cross ``end`` or a scheduler interrupt.  When
         ``step`` dispatched a precompiled burst the processor is busy —
         and fully accounted — until ``burst_until``, so the clock jumps

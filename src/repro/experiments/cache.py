@@ -223,35 +223,17 @@ class ResultCache:
         return self.root / key[:2] / (key + ".json")
 
     def get(self, key, kind):
-        """The deserialised result for ``key``, or None on miss.
-
-        Any validation failure counts as corruption: the entry is
-        deleted so the caller recomputes and overwrites it.
-        """
-        path = self._path(key)
-        try:
-            payload = self._load_validated(path, key, kind)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except CorruptEntry:
-            self.corrupt += 1
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.hits += 1
-        return SERIALIZERS[kind][1](payload["result"])
+        """The deserialised result for ``key``, or None on miss."""
+        state = self.get_state(key, kind)
+        return None if state is None else SERIALIZERS[kind][1](state)
 
     def get_state(self, key, kind):
-        """The still-serialised result state for ``key``, or None.
+        """The still-serialised result state for ``key``, or None on miss.
 
-        Same validation and miss/corruption accounting as :meth:`get`,
-        but skips deserialisation — for callers (the service's job
-        manager) that hold results in the wire format and only
-        materialise objects at the edge.
+        Any validation failure counts as corruption: the entry is
+        deleted so the caller recomputes and overwrites it.  The
+        service's job manager holds results in this wire format and
+        only materialises objects at the edge.
         """
         path = self._path(key)
         try:

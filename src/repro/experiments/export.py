@@ -7,6 +7,7 @@ into plain dictionaries and writes them as JSON.
 
 import json
 
+from repro.experiments.runner import dedicated_rate_of
 from repro.pipeline.stalls import Stall
 
 
@@ -28,7 +29,8 @@ def stats_to_dict(stats):
 
 
 def uniproc_run_to_dict(run):
-    """An ExperimentContext UniprocRun as a plain dictionary."""
+    """An ExperimentContext PointRun of a workstation point as a plain
+    dictionary."""
     result = run.result
     return {
         "duration": result.duration,
@@ -56,18 +58,24 @@ def mp_result_to_dict(result):
 
 
 def context_to_dict(ctx):
-    """Everything an ExperimentContext has memoised, as a dictionary."""
-    return {
-        "uniprocessor": {
-            "%s/%s/%d" % key: uniproc_run_to_dict(run)
-            for key, run in ctx._uniproc.items()
-        },
-        "dedicated_rates": dict(ctx._dedicated),
-        "multiprocessor": {
-            "%s/%s/%d" % key: mp_result_to_dict(res)
-            for key, res in ctx._mp.items()
-        },
-    }
+    """Everything an ExperimentContext has memoised, as a dictionary.
+
+    Points are labelled ``name/scheme/n_contexts``; a generated
+    family's label carries the ``gen:`` prefix of its load name.
+    """
+    out = {"uniprocessor": {}, "dedicated_rates": {}, "multiprocessor": {}}
+    for point, run in ctx.runs.items():
+        label = "%s/%s/%d" % point[1:]
+        if point.kind == "mp":
+            out["multiprocessor"][label] = mp_result_to_dict(run.result)
+        elif point.kind == "dedicated":
+            out["dedicated_rates"][point.name] = dedicated_rate_of(
+                run.result)
+        else:
+            if point.kind == "gen":
+                label = "gen:" + label
+            out["uniprocessor"][label] = uniproc_run_to_dict(run)
+    return out
 
 
 def sweep_report_to_dict(report, **extra):

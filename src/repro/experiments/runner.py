@@ -1,30 +1,45 @@
-"""Shared experiment machinery: building, running, and memoising runs.
+"""Shared experiment machinery: the one place that knows point kinds.
 
-The tables and figures share underlying simulations (Table 7 and
-Figures 6/7 use the same uniprocessor runs; Table 10 and Figures 8/9 the
-same multiprocessor runs), so an :class:`ExperimentContext` memoises them
-in process memory — and, when given a :class:`~repro.experiments.cache.
+The paper's results form a grid of independent points
+(:data:`SweepPoint`) of four kinds: Table 5 mixes (``uniproc``), the
+calibration runs behind the fair-share metric (``dedicated``), SPLASH
+runs to completion (``mp``) and generated families (``gen``).  The
+tables and figures share these runs (Table 7 and Figures 6/7 use the
+same uniprocessor runs; Table 10 and Figures 8/9 the same
+multiprocessor runs), so an :class:`ExperimentContext` memoises them in
+process memory — and, when given a :class:`~repro.experiments.cache.
 ResultCache`, reads/writes a content-addressed on-disk cache so the same
 simulation is never computed twice across processes or invocations.
 
-The module-level ``compute_*`` functions are the *only* place a
-simulation point is built and run: the serial context calls them
-directly and the service's worker processes
-(:func:`repro.service.worker.compute_point`, which also serve the
-parallel :class:`~repro.experiments.sweep.SweepEngine`) call them too,
-so parallel results are bit-identical to serial ones by construction
-(each point is seeded independently from the context's seed; no state
-is shared between points).  :func:`point_window` is the one statement
-of which cycle window a point runs over, and so of its cache key.
+:func:`compute_point` is the one dispatch on a point's kind: the serial
+context, the :class:`~repro.experiments.sweep.SweepEngine` and the
+service's worker processes (:func:`repro.service.worker.compute_point`)
+all compute points through it, so parallel results are bit-identical
+to serial ones by construction (each point is seeded independently from
+the context's seed; no state is shared between points).
+:func:`point_result` rebuilds the :class:`repro.api.RunResult` of a
+point from its core result for the service's payloads.
+:func:`point_window` is the one statement of which cycle window a point
+runs over, and so of its cache key.
 """
 
-from repro.api import Simulation
+from collections import namedtuple
+
+from repro.api import Simulation, multiprocessor_result, workstation_result
 from repro.config import SystemConfig, MultiprocessorParams
 
 #: Default measurement window lengths (cycles) for the fast profile.
 UNIPROC_WARMUP = 30_000
 UNIPROC_MEASURE = 120_000
 MP_MAX_CYCLES = 20_000_000
+
+#: One simulation point.  ``kind`` is "uniproc" (measured Table 5 mix),
+#: "dedicated" (one application alone on one context: the calibration
+#: run), "mp" (SPLASH run-to-completion) or "gen" (a generated family,
+#: whose ``name`` is its GenSpec's canonical text, "" for the default
+#: spec; its programs are verified at birth, so a bad spec fails the
+#: point loudly).
+SweepPoint = namedtuple("SweepPoint", "kind name scheme n_contexts")
 
 
 def point_window(kind, warmup, measure):
@@ -46,15 +61,6 @@ def compute_uniproc(workload, scheme, n_contexts, config, seed,
     return result.raw, simulation.simulator
 
 
-def compute_dedicated(kernel_name, config, seed, warmup, measure,
-                      engine="burst"):
-    """Calibration run of one application alone; returns RunResult."""
-    simulation = Simulation.from_config(
-        config, scheme="single", n_contexts=1,
-        seed=seed, engine=engine).load(kernel_name)
-    return simulation.run(warmup=warmup, measure=measure).raw
-
-
 def compute_mp(app_name, scheme, n_contexts, mp_params, seed,
                max_cycles=MP_MAX_CYCLES, engine="burst"):
     """Run-to-completion of a SPLASH stand-in; returns MPResult."""
@@ -69,19 +75,73 @@ def compute_mp(app_name, scheme, n_contexts, mp_params, seed,
     return result.raw
 
 
+def _runs_as(point):
+    """(``Simulation.load`` name, scheme, n_contexts) ``point`` runs as."""
+    kind, name, scheme, n_contexts = point
+    if kind == "dedicated":
+        return name, "single", 1
+    if kind == "gen":
+        return "gen:" + name, scheme, n_contexts
+    if kind in ("uniproc", "mp"):
+        return name, scheme, n_contexts
+    raise ValueError("unknown point kind %r" % (kind,))
+
+
+def compute_point(point, config, mp_params, seed, warmup, measure,
+                  engine="burst"):
+    """Compute one point; returns (core result, live simulator or None).
+
+    ``warmup``/``measure`` are the context's window, which
+    :func:`point_window` narrows per kind.  Only uniproc and gen points
+    keep their simulator (for the analysis verbs); nothing inspects a
+    calibration or multiprocessor machine after the run.
+    """
+    name, scheme, n_contexts = _runs_as(point)
+    warmup, measure = point_window(point.kind, warmup, measure)
+    if point.kind == "mp":
+        return compute_mp(name, scheme, n_contexts, mp_params, seed,
+                          max_cycles=measure, engine=engine), None
+    result, sim = compute_uniproc(name, scheme, n_contexts, config, seed,
+                                  warmup, measure, engine=engine)
+    return result, (None if point.kind == "dedicated" else sim)
+
+
+def point_result(point, raw, seed, engine):
+    """The :class:`repro.api.RunResult` of ``point`` rebuilt from its
+    core result ``raw`` (live or loaded from the cache).
+
+    An mp core result keeps per-node stats, not per-thread retire
+    counts, so ``per_process`` carries per-node totals under stable
+    ``<app>.node<i>`` names; and since :func:`compute_mp` refuses an
+    unfinished run, every mp result is a completed one.
+    """
+    _, scheme, n_contexts = _runs_as(point)
+    if point.kind == "mp":
+        per_node = {"%s.node%d" % (point.name, i): s.retired
+                    for i, s in enumerate(raw.node_stats)}
+        return multiprocessor_result(raw, point.name, scheme, n_contexts,
+                                     seed, engine, True, per_node)
+    return workstation_result(raw, point.name, scheme, n_contexts, seed,
+                              engine)
+
+
 def dedicated_rate_of(result):
     """Instructions/cycle of a dedicated calibration RunResult."""
     return sum(result.per_process.values()) / result.duration
 
 
-class UniprocRun:
-    """One uniprocessor measurement plus its simulator's end state.
+class PointRun:
+    """One point's core result plus its simulator's end state.
 
     ``simulator`` is None when the result was loaded from the on-disk
-    cache (only the measured numbers are persisted, not the machine).
+    cache or computed in another process (only the measured numbers
+    travel, not the machine), and for the kinds :func:`compute_point`
+    keeps no simulator for.
     """
 
-    def __init__(self, result, simulator):
+    __slots__ = ("result", "simulator")
+
+    def __init__(self, result, simulator=None):
         self.result = result
         self.simulator = simulator
 
@@ -89,10 +149,11 @@ class UniprocRun:
 class ExperimentContext:
     """Runs and memoises the simulations behind the tables/figures.
 
-    Lookup order for every point: in-process memo, then the on-disk
-    ``cache`` (if any), then an actual simulation (which populates
-    both).  ``sim_count`` counts actual simulations, so tests and the
-    sweep engine can assert that cache hits skip simulation.
+    Lookup order for every point (:meth:`run_point`): in-process memo,
+    then the on-disk ``cache`` (if any), then an actual simulation
+    (which populates both).  ``sim_count`` counts actual simulations, so
+    tests and the sweep engine can assert that cache hits skip
+    simulation.
     """
 
     def __init__(self, config=None, mp_params=None, seed=1994,
@@ -112,11 +173,9 @@ class ExperimentContext:
         #: are valid hits for the other.
         self.engine = engine
         self.sim_count = 0
-        self._uniproc = {}
-        self._dedicated = {}
-        self._mp = {}
-
-    # -- cache plumbing ------------------------------------------------------
+        #: SweepPoint -> PointRun, in the order the points were first
+        #: filled.
+        self.runs = {}
 
     def point_cache_key(self, kind, name, scheme="single", n_contexts=1):
         """The on-disk cache key of one of this context's points."""
@@ -126,60 +185,48 @@ class ExperimentContext:
             kind, name, scheme, n_contexts, self.config, self.mp_params,
             self.seed, warmup, measure)
 
-    def _cache_get(self, kind, name, scheme, n_contexts):
-        if self.cache is None:
-            return None
-        return self.cache.get(
-            self.point_cache_key(kind, name, scheme, n_contexts), kind)
-
-    def _cache_put(self, kind, name, scheme, n_contexts, result):
-        if self.cache is None:
-            return
-        self.cache.put(
-            self.point_cache_key(kind, name, scheme, n_contexts), kind,
-            result, meta={"kind": kind, "name": name, "scheme": scheme,
-                          "n_contexts": n_contexts, "seed": self.seed})
-
-    def store_point(self, kind, name, scheme, n_contexts, result):
+    def store_point(self, point, result):
         """Inject an externally computed result (service worker) into the
         in-process memo, exactly as a cache load would."""
-        if kind == "uniproc":
-            self._uniproc[(name, scheme, n_contexts)] = UniprocRun(
-                result, None)
-        elif kind == "dedicated":
-            self._dedicated[name] = dedicated_rate_of(result)
-        elif kind == "mp":
-            self._mp[(name, scheme, n_contexts)] = result
-        else:
-            raise ValueError("unknown point kind %r" % kind)
+        self.runs[point] = PointRun(result)
 
-    # -- uniprocessor ----------------------------------------------------------
-
-    def uniproc_run(self, workload, scheme, n_contexts,
-                    need_simulator=False):
-        """Measured run of a Table 5 workload; memoised and cached.
+    def run_point(self, point, need_simulator=False):
+        """The :class:`PointRun` of ``point``; memoised and cached.
 
         Pass ``need_simulator=True`` to guarantee a live simulator on
         the returned run (forces a simulation if the memoised result
         came from the on-disk cache).
         """
-        key = (workload, scheme, n_contexts)
-        entry = self._uniproc.get(key)
-        if entry is not None and (entry.simulator is not None
-                                  or not need_simulator):
-            return entry
-        if not need_simulator:
-            cached = self._cache_get("uniproc", *key)
-            if cached is not None:
-                self._uniproc[key] = UniprocRun(cached, None)
-                return self._uniproc[key]
-        result, sim = compute_uniproc(
-            workload, scheme, n_contexts, self.config, self.seed,
-            self.warmup, self.measure, engine=self.engine)
+        run = self.runs.get(point)
+        if run is not None and (run.simulator is not None
+                                or not need_simulator):
+            return run
+        key = None
+        if self.cache is not None:
+            key = self.point_cache_key(*point)
+        if key is not None and not need_simulator:
+            result = self.cache.get(key, point.kind)
+            if result is not None:
+                run = self.runs[point] = PointRun(result)
+                return run
+        result, sim = compute_point(point, self.config, self.mp_params,
+                                    self.seed, self.warmup, self.measure,
+                                    engine=self.engine)
         self.sim_count += 1
-        self._cache_put("uniproc", workload, scheme, n_contexts, result)
-        self._uniproc[key] = UniprocRun(result, sim)
-        return self._uniproc[key]
+        if key is not None:
+            self.cache.put(key, point.kind, result,
+                           meta=dict(point._asdict(), seed=self.seed))
+        run = self.runs[point] = PointRun(result, sim)
+        return run
+
+    # -- views ---------------------------------------------------------------
+
+    def uniproc_run(self, workload, scheme, n_contexts,
+                    need_simulator=False):
+        """Measured run of a Table 5 workload (a :class:`PointRun`)."""
+        return self.run_point(
+            SweepPoint("uniproc", workload, scheme, n_contexts),
+            need_simulator)
 
     def dedicated_rate(self, kernel_name):
         """Instructions/cycle of one application run alone (calibration).
@@ -188,17 +235,13 @@ class ExperimentContext:
         application receiving a fair 1/N share of a dedicated processor;
         this is the dedicated-processor rate that normalisation needs.
         """
-        if kernel_name not in self._dedicated:
-            result = self._cache_get("dedicated", kernel_name, "single", 1)
-            if result is None:
-                result = compute_dedicated(
-                    kernel_name, self.config, self.seed, self.warmup,
-                    self.measure, engine=self.engine)
-                self.sim_count += 1
-                self._cache_put("dedicated", kernel_name, "single", 1,
-                                result)
-            self._dedicated[kernel_name] = dedicated_rate_of(result)
-        return self._dedicated[kernel_name]
+        return dedicated_rate_of(self.run_point(
+            SweepPoint("dedicated", kernel_name, "single", 1)).result)
+
+    def mp_run(self, app_name, scheme, n_contexts):
+        """Run-to-completion of a SPLASH stand-in (its MPResult)."""
+        return self.run_point(
+            SweepPoint("mp", app_name, scheme, n_contexts)).result
 
     def normalized_throughput(self, workload, scheme, n_contexts):
         """The paper's fair-share throughput metric.
@@ -220,22 +263,6 @@ class ExperimentContext:
             rate = run.result.per_process[name] / run.result.duration
             total += rate / self.dedicated_rate(kernel)
         return total
-
-    # -- multiprocessor ------------------------------------------------------------
-
-    def mp_run(self, app_name, scheme, n_contexts):
-        """Run-to-completion of a SPLASH stand-in; memoised and cached."""
-        key = (app_name, scheme, n_contexts)
-        if key not in self._mp:
-            result = self._cache_get("mp", *key)
-            if result is None:
-                result = compute_mp(app_name, scheme, n_contexts,
-                                    self.mp_params, self.seed,
-                                    engine=self.engine)
-                self.sim_count += 1
-                self._cache_put("mp", app_name, scheme, n_contexts, result)
-            self._mp[key] = result
-        return self._mp[key]
 
     def mp_speedup(self, app_name, scheme, n_contexts):
         """Speedup over the single-context run of the same machine.

@@ -5,16 +5,18 @@ The paper's result set is an embarrassingly parallel sweep: each
 independent, deterministic simulation.  :class:`SweepEngine` enumerates
 the points the figures and tables declare (their ``points()`` hooks),
 skips everything already memoised, and fills the context with the rest:
-serially through the context's own accessors, or as one job on the
-service's :class:`~repro.service.manager.JobManager` worker pool.  Either
-way each point is read through the on-disk cache before it is computed.
+serially through the context's read-through
+:meth:`~repro.experiments.runner.ExperimentContext.run_point`, or as one
+job on the service's :class:`~repro.service.manager.JobManager` worker
+pool.  Either way each point is read through the on-disk cache before
+it is computed.
 
 The sweep decides the order: it submits the points heaviest first
 (:func:`_cost_rank`), and the manager starts them in that order.
 
 Determinism contract: a worker builds a point with the *same*
-:mod:`repro.experiments.runner` ``compute_*`` function, the same
-configuration objects, and the same per-point seed that the serial
+:func:`repro.experiments.runner.compute_point`, the same configuration
+objects, and the same per-point seed that the serial
 :class:`ExperimentContext` path uses, and no state is shared between
 points — so parallel results are bit-identical to serial ones, and cache
 entries written by either path are interchangeable.
@@ -25,12 +27,7 @@ import time
 from collections import namedtuple
 
 from repro.experiments import cache as cache_mod
-from repro.experiments.runner import ExperimentContext
-
-#: One simulation point.  ``kind`` is "uniproc" (measured workload run),
-#: "dedicated" (single-application calibration run), or "mp" (SPLASH
-#: run-to-completion).
-SweepPoint = namedtuple("SweepPoint", "kind name scheme n_contexts")
+from repro.experiments.runner import ExperimentContext, SweepPoint
 
 #: One finished point: where its result came from and how long it took.
 PointOutcome = namedtuple("PointOutcome", "point source seconds")
@@ -125,15 +122,6 @@ class SweepEngine:
         self.jobs = jobs if jobs else (os.cpu_count() or 1)
         self.progress = progress if progress is not None else lambda msg: None
 
-    def _memoised(self, point):
-        ctx = self.ctx
-        if point.kind == "uniproc":
-            return (point.name, point.scheme,
-                    point.n_contexts) in ctx._uniproc
-        if point.kind == "dedicated":
-            return point.name in ctx._dedicated
-        return (point.name, point.scheme, point.n_contexts) in ctx._mp
-
     def _announce(self, done, total, point, detail):
         self.progress("[%3d/%d] %-9s %s/%s/%d  %s"
                       % (done, total, point.kind, point.name, point.scheme,
@@ -145,7 +133,7 @@ class SweepEngine:
         points = dedupe(points if points is not None else default_points())
         outcomes, pending = [], []
         for point in points:
-            if self._memoised(point):
+            if point in self.ctx.runs:
                 outcomes.append(PointOutcome(point, "memo", 0.0))
             else:
                 pending.append(point)
@@ -165,12 +153,7 @@ class SweepEngine:
         for point in pending:
             start = time.perf_counter()
             sims = ctx.sim_count
-            if point.kind == "uniproc":
-                ctx.uniproc_run(point.name, point.scheme, point.n_contexts)
-            elif point.kind == "dedicated":
-                ctx.dedicated_rate(point.name)
-            else:
-                ctx.mp_run(point.name, point.scheme, point.n_contexts)
+            ctx.run_point(point)
             seconds = time.perf_counter() - start
             source = "computed" if ctx.sim_count > sims else "cache"
             done += 1
@@ -200,7 +183,7 @@ class SweepEngine:
             job_id = manager.submit(spec)
             for index, _payload in enumerate(manager.iter_results(job_id)):
                 point, source, state = manager.point_states(job_id)[index]
-                ctx.store_point(*point,
+                ctx.store_point(point,
                                 cache_mod.SERIALIZERS[point.kind][1](state))
                 seconds = time.perf_counter() - submitted
                 done += 1

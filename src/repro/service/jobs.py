@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from repro.config import ConfigError, SystemConfig, MultiprocessorParams
 from repro.experiments.runner import (UNIPROC_WARMUP, UNIPROC_MEASURE,
-                                      point_window)
-from repro.experiments.sweep import SweepPoint, dedupe
+                                      SweepPoint, point_window)
+from repro.experiments.sweep import dedupe
 
 #: Job lifecycle states.
 PENDING = "pending"

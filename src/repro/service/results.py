@@ -5,68 +5,21 @@ Workers send back only the serialised point state (the
 derives every streamed ``RunResult.to_json`` payload from that state
 with this module — the *same* pure function whether the state came from
 a live worker or from a cache hit, so a warm resubmission streams
-byte-identical payloads to the cold run.  (The engines' bit-identity
-contract makes the recorded ``engine`` the submitting spec's engine,
-exactly as a live run under that spec would report.)
+byte-identical payloads to the cold run.  The result is built by
+:func:`repro.experiments.runner.point_result`, the one place that knows
+what each point kind runs as.  (The engines' bit-identity contract
+makes the recorded ``engine`` the submitting spec's engine, exactly as a
+live run under that spec would report.)
 """
 
-from repro.api import (RunResult, _stats_fields)
 from repro.experiments import cache as cache_mod
-from repro.pipeline.stalls import (UNIPROCESSOR_CATEGORIES,
-                                   MULTIPROCESSOR_CATEGORIES)
+from repro.experiments.runner import point_result
 
 
 def result_from_state(point, spec, state):
     """The :class:`repro.api.RunResult` a live run would have returned."""
-    if point.kind == "mp":
-        mp = cache_mod.mp_from_state(state)
-        return RunResult(
-            kind="multiprocessor",
-            workload=point.name,
-            scheme=point.scheme,
-            n_contexts=point.n_contexts,
-            seed=spec.seed,
-            engine=spec.engine,
-            cycles=mp.cycles,
-            # compute_mp refuses to cache an unfinished run, so every
-            # cached mp state is a completed one.
-            completed=True,
-            per_process=_mp_per_process(point, spec, mp),
-            raw=mp,
-            **_stats_fields(mp.stats, mp.cycles,
-                            MULTIPROCESSOR_CATEGORIES),
-        )
-    scheme = "single" if point.kind == "dedicated" else point.scheme
-    n_contexts = 1 if point.kind == "dedicated" else point.n_contexts
-    window = cache_mod.uniproc_from_state(state)
-    return RunResult(
-        kind="workstation",
-        workload=point.name,
-        scheme=scheme,
-        n_contexts=n_contexts,
-        seed=spec.seed,
-        engine=spec.engine,
-        cycles=window.duration,
-        completed=True,
-        per_process=dict(window.per_process),
-        raw=window,
-        **_stats_fields(window.stats, window.duration,
-                        UNIPROCESSOR_CATEGORIES),
-    )
-
-
-def _mp_per_process(point, spec, mp_result):
-    """Thread name -> retired count, reconstructed from node stats.
-
-    The cached mp state keeps per-node stats, not per-thread retire
-    counts; the live payload's ``per_process`` comes from the simulator
-    processes.  Per-thread counts are not recoverable from the cache,
-    so the payload carries per-node totals under stable names — the
-    same convention either way would require persisting them; see
-    ``mp_to_state``.
-    """
-    return {"%s.node%d" % (point.name, i): s.retired
-            for i, s in enumerate(mp_result.node_stats)}
+    raw = cache_mod.SERIALIZERS[point.kind][1](state)
+    return point_result(point, raw, spec.seed, spec.engine)
 
 
 def payload_from_state(point, spec, state):

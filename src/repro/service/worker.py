@@ -11,11 +11,10 @@ fan-out: service jobs and the parallel
 :class:`~repro.experiments.sweep.SweepEngine` both run on them.
 
 Determinism contract: a worker builds and runs its point with
-:mod:`repro.experiments.runner`'s ``compute_*`` functions, given
-precisely the arguments the serial path gives them (same configs, same
-per-point seed, same :func:`~repro.experiments.runner.point_window`), so
-a service-computed point is bit-identical to a serial one and their
-cache entries are interchangeable.
+:func:`repro.experiments.runner.compute_point`, given precisely the
+arguments the serial path gives it (same configs, same per-point seed,
+same window), so a service-computed point is bit-identical to a serial
+one and their cache entries are interchangeable.
 
 When the task carries a ``burst_dir`` and the burst engine is selected,
 the worker installs the shared :class:`~repro.service.burst_cache.
@@ -36,17 +35,13 @@ from repro.experiments import runner
 
 def make_task(spec, point, attempt=0, burst_dir=None, fail_times=0):
     """The picklable work order for one attempt at one point."""
-    warmup, measure = spec.point_window(point)
     return {
-        "kind": point.kind,
-        "name": point.name,
-        "scheme": point.scheme,
-        "n_contexts": point.n_contexts,
+        "point": point,
         "config": spec.config,
         "mp_params": spec.mp_params,
         "seed": spec.seed,
-        "warmup": warmup,
-        "measure": measure,
+        "warmup": spec.warmup,
+        "measure": spec.measure,
         "engine": spec.engine,
         "attempt": attempt,
         "burst_dir": burst_dir,
@@ -62,7 +57,7 @@ def compute_point(task):
     Pure function of the task (no shared state): the manager may run it
     in any worker, in any order, any number of times.
     """
-    kind = task["kind"]
+    point = task["point"]
     engine = task["engine"]
     burst_cache = None
     from repro.isa.program import Program
@@ -72,25 +67,9 @@ def compute_point(task):
         Program.burst_provider = burst_cache
     t0 = time.perf_counter()
     try:
-        if kind in ("uniproc", "gen"):
-            # A generated family's name is its GenSpec's canonical text
-            # ("" = default spec); the programs are built here and
-            # verified at birth, so a bad spec fails the point loudly.
-            name = "gen:" + task["name"] if kind == "gen" else task["name"]
-            result, _sim = runner.compute_uniproc(
-                name, task["scheme"], task["n_contexts"], task["config"],
-                task["seed"], task["warmup"], task["measure"],
-                engine=engine)
-        elif kind == "dedicated":
-            result = runner.compute_dedicated(
-                task["name"], task["config"], task["seed"], task["warmup"],
-                task["measure"], engine=engine)
-        elif kind == "mp":
-            result = runner.compute_mp(
-                task["name"], task["scheme"], task["n_contexts"],
-                task["mp_params"], task["seed"], engine=engine)
-        else:
-            raise ValueError("unknown point kind %r" % (kind,))
+        result, _sim = runner.compute_point(
+            point, task["config"], task["mp_params"], task["seed"],
+            task["warmup"], task["measure"], engine=engine)
     finally:
         if burst_cache is not None:
             Program.burst_provider = None
@@ -100,7 +79,7 @@ def compute_point(task):
     # byte-identical payloads.
     return {
         "ok": True,
-        "state": cache_mod.SERIALIZERS[kind][0](result),
+        "state": cache_mod.SERIALIZERS[point.kind][0](result),
         "seconds": time.perf_counter() - t0,
         "burst": (burst_cache.session_stats() if burst_cache is not None
                   else None),

@@ -4,10 +4,12 @@ Small windows and a 2-node machine keep this fast-lane quick; the
 engine's value is orchestration, which these sizes exercise fully.
 """
 
+import json
+
 import pytest
 
 from repro.config import SystemConfig, MultiprocessorParams
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, SERIALIZERS
 from repro.experiments.runner import ExperimentContext
 from repro.experiments.sweep import (
     SweepEngine,
@@ -80,6 +82,56 @@ class TestParallelEqualsSerial:
         assert (serial_ctx.normalized_throughput("R1", "interleaved", 2)
                 == parallel_ctx.normalized_throughput(
                     "R1", "interleaved", 2))
+
+    def test_context_export_identical(self, serial_ctx, parallel_ctx):
+        from repro.experiments.export import context_to_dict
+        assert (json.dumps(context_to_dict(serial_ctx), sort_keys=True)
+                == json.dumps(context_to_dict(parallel_ctx),
+                              sort_keys=True))
+
+
+#: Two points of one small generated family (two, so that ``jobs=2``
+#: takes the worker-pool path rather than the single-point serial one).
+GEN_POINTS = [
+    SweepPoint("gen", "block_size=16;footprint_words=64;loop_iterations=8",
+               scheme, n)
+    for scheme, n in (("interleaved", 2), ("single", 1))]
+
+
+class TestGeneratedPoints:
+    """A generated family's points run through the sweep exactly as
+    through the service, on either sweep path."""
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        from repro.service import JobManager, JobSpec
+        ctx = make_ctx()
+        spec = JobSpec(points=GEN_POINTS, config=ctx.config,
+                       mp_params=ctx.mp_params, seed=ctx.seed,
+                       warmup=ctx.warmup, measure=ctx.measure)
+        with JobManager(workers=2) as manager:
+            payloads = manager.results(manager.submit(spec), timeout=240)
+        by_point = {}
+        for payload in payloads:
+            d = json.loads(payload)
+            by_point[SweepPoint("gen", d["workload"], d["scheme"],
+                                d["n_contexts"])] = payload
+        return spec, by_point
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_matches_service_payload(self, service, jobs):
+        from repro.service.results import payload_from_state
+        spec, payloads = service
+        ctx = make_ctx()
+        report = SweepEngine(ctx, jobs=jobs).run(GEN_POINTS)
+        assert report.count("computed") == len(GEN_POINTS)
+        for point in GEN_POINTS:
+            result = ctx.runs[point].result
+            expected = json.loads(payloads[point])
+            assert result.per_process == expected["per_process"]
+            assert result.stats.retired == expected["retired"]
+            state = SERIALIZERS["gen"][0](result)
+            assert payload_from_state(point, spec, state) == payloads[point]
 
 
 class TestCacheBehaviour:
